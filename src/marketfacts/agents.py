@@ -11,12 +11,14 @@ import numpy as np
 PerStep = Union[float, Sequence[float]]
 
 
-def _at(value: PerStep, step: int) -> float:
+def _per_step(value: PerStep) -> float | tuple[float, ...]:
+    """Store a constant-or-per-step parameter as a float or a tuple of floats."""
+    return float(value) if np.ndim(value) == 0 else tuple(map(float, value))
+
+
+def _at(value: float | tuple[float, ...], step: int) -> float:
     """Resolve a constant-or-per-step parameter at a given step."""
-    if np.isscalar(value):
-        return float(value)
-    seq = np.asarray(value, dtype=float)
-    return float(seq[step])
+    return value if isinstance(value, float) else value[step]
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,7 @@ class FundamentalistParams:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError(f"reaction weight a must be > 0, got {self.a}")
+        object.__setattr__(self, "log_fundamental", _per_step(self.log_fundamental))
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class FWParams:
     def __post_init__(self):
         if self.noise_std < 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        for name in ("a", "b", "log_fundamental"):
+            object.__setattr__(self, name, _per_step(getattr(self, name)))
 
     def weights_at(self, step: int) -> tuple[float, float]:
         return _at(self.a, step), _at(self.b, step)

@@ -14,8 +14,10 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import ingest, sim, stats, timeseries
-from .errors import MarketFactsError
+from .errors import MarketFactsError, SchemaError
 
 
 def _parse_lags(text: str):
@@ -101,6 +103,13 @@ def cmd_analyze(args) -> int:
     if not sources:
         print("analyze: need --input and/or --manifest", file=sys.stderr)
         return 2
+    paths = {}  # label -> path; a label names the table's columns
+    for entry in sources:
+        if entry.label in paths:
+            raise SchemaError(
+                f"label {entry.label!r} names both {paths[entry.label]} and {entry.path}"
+            )
+        paths[entry.label] = entry.path
 
     columns = {}  # column name -> {stat row -> value or error string}
     failures = 0
@@ -163,10 +172,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _scalar_stats(report: stats.StatsReport) -> dict:
-    return report.as_dict()
-
-
 def cmd_ensemble(args) -> int:
     config = _load_config(args)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
@@ -175,16 +180,10 @@ def cmd_ensemble(args) -> int:
     for r, output in enumerate(outputs):
         sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
         raw = output.returns
-        per_rep[timeseries.RAW].append(
-            _scalar_stats(stats.full_report(raw, lags=args.lags))
-        )
+        per_rep[timeseries.RAW].append(stats.full_report(raw, lags=args.lags).as_dict())
         per_rep[timeseries.ABSOLUTE].append(
-            _scalar_stats(
-                stats.full_report(timeseries.absolute_returns(raw), lags=args.lags)
-            )
+            stats.full_report(timeseries.absolute_returns(raw), lags=args.lags).as_dict()
         )
-
-    import numpy as np
 
     summary = {"replications": args.replications, "base_seed": config.seed}
     for kind, reports in per_rep.items():

@@ -64,7 +64,17 @@ class ConfigError(MarketFactsError):
 
 
 class SchemaError(MarketFactsError):
-    """A CSV file does not match the declared column layout."""
+    """An input file (price CSV or analysis manifest) does not have the
+    expected layout."""
+
+
+class UnreadableFile(MarketFactsError):
+    """An input file is missing or cannot be opened."""
+
+
+class InvalidWindow(MarketFactsError, ValueError):
+    """A date-window bound is not a YYYY-MM-DD date, or the window starts
+    after it ends."""
 
 
 class EmptyWindow(MarketFactsError):

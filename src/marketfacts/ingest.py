@@ -6,9 +6,10 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import DuplicateDate, EmptyWindow, SchemaError
+from .errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError, UnreadableFile
 from .timeseries import PriceSeries
 
 
@@ -38,8 +39,23 @@ class IngestReport:
     rows_out_of_window: int
 
 
-def _parse_date(text: str):
-    return _dt.datetime.strptime(text.strip(), "%Y-%m-%d").date()
+def _window_date(value, name: str):
+    """A window bound given as None, a ``datetime.date`` or an ISO date string."""
+    if value is None or isinstance(value, _dt.date):
+        return value
+    if isinstance(value, str):
+        try:
+            return _dt.datetime.strptime(value.strip(), "%Y-%m-%d").date()
+        except ValueError:
+            pass
+    raise InvalidWindow(f"{name}: {value!r} is not a YYYY-MM-DD date")
+
+
+def _open(path, **kwargs):
+    try:
+        return open(path, "r", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror}") from exc
 
 
 def read_prices_report(
@@ -52,17 +68,15 @@ def read_prices_report(
 
     Window boundaries are inclusive; ``from_date``/``to_date`` may be ISO
     date strings or ``datetime.date``.  Rows whose price is missing,
-    unparseable or non-positive (or whose date is unparseable) are skipped
-    and counted.  Duplicate dates are an error, not a dedup.
+    unparseable, non-finite or non-positive (or whose date is unparseable)
+    are skipped and counted.  Duplicate dates are an error, not a dedup.
     """
-    if isinstance(from_date, str):
-        from_date = _parse_date(from_date)
-    if isinstance(to_date, str):
-        to_date = _parse_date(to_date)
+    from_date = _window_date(from_date, "from")
+    to_date = _window_date(to_date, "to")
     if from_date is not None and to_date is not None and from_date > to_date:
-        raise ValueError(f"window start {from_date} after end {to_date}")
+        raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         rows = list(reader)
 
@@ -115,7 +129,7 @@ def read_prices_report(
         except ValueError:
             rows_skipped += 1
             continue
-        if not price > 0.0:
+        if not 0.0 < price < math.inf:
             rows_skipped += 1
             continue
         if date in seen:
@@ -168,8 +182,11 @@ class ManifestEntry:
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a JSON manifest: a list of {label, path, from, to, price_column}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with _open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: manifest must be a JSON list")
     entries = []

@@ -18,16 +18,18 @@ many ensemble workers run in parallel.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import json
 import os
+import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
-from .agents import FWParams, franke_westerhoff_ED
+from .agents import FWParams, PerStep, franke_westerhoff_ED
 from .environment import (
     HerdingPopulation,
     herding_step,
@@ -79,7 +81,7 @@ class RunConfig:
     dt: float = 1.0
     seed: int = 0
     initial_log_price: float = 0.0
-    burn_in: Optional[int] = None  # None -> 10% of steps
+    burn_in: typing.Optional[int] = None  # None -> 10% of steps
     price_rule: PriceRule = field(default_factory=PriceRule)
     fw: FWParams = field(default_factory=FWParams)
     herding: HerdingConfig = field(default_factory=HerdingConfig)
@@ -102,6 +104,11 @@ class RunConfig:
                 f"steps ({self.steps}) must exceed burn_in ({self.burn_in})",
                 field="burn_in",
             )
+        for f in dataclasses.fields(self.fw):
+            schedule = getattr(self.fw, f.name)
+            if isinstance(schedule, tuple) and len(schedule) < self.steps:
+                raise ConfigError(f"{len(schedule)} per-step values for {self.steps} steps",
+                                  field=f"fw.{f.name}")
 
 
 @dataclass(frozen=True)
@@ -114,94 +121,88 @@ class SimOutput:
     seed: int
 
 
-def _parse_section(d: dict, path: str, cls, allowed: dict):
-    unknown = set(d) - set(allowed)
+def _json_fields(cls) -> list:
+    """(field, type) of each field of a config dataclass that has a JSON
+    form; fields typed Callable (or Optional[Callable]) are API-only."""
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        origins = {typing.get_origin(h) for h in (hint, *typing.get_args(hint))}
+        if collections.abc.Callable not in origins:
+            fields.append((f, hint))
+    return fields
+
+
+def _finite(value, path: str) -> float:
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound is false for NaN and, unlike float(), safe for huge ints
+    if is_number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"must be a finite number, got {value!r}", field=path)
+
+
+def _from_json(hint, value, path: str):
+    """Check one JSON value against a field type and convert it."""
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, path)
+    if type(None) in typing.get_args(hint):  # Optional[X] is Union[X, None]
+        if value is None:
+            return None
+        hint, _ = typing.get_args(hint)
+    if hint == PerStep and isinstance(value, (list, tuple)):
+        return tuple(_finite(v, path) for v in value)
+    if hint in (float, PerStep):
+        return _finite(value, path)
+    # int or str; bool is an int subclass but not a JSON integer
+    if isinstance(value, hint) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"must be of type {hint.__name__}, got {value!r}", field=path)
+
+
+def _from_dict(cls, doc, path: str = ""):
+    """Build config dataclass ``cls`` from JSON object ``doc`` at dotted ``path``."""
+    if not isinstance(doc, dict):
+        raise ConfigError("must be a JSON object", field=path or None)
+    fields = _json_fields(cls)
+    unknown = set(doc) - {f.name for f, _ in fields}
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)}", field=path
-        )
+        raise ConfigError(f"unknown key(s) {sorted(unknown)}", field=path or None)
     kwargs = {}
-    for key, typ in allowed.items():
-        if key in d:
-            try:
-                kwargs[key] = typ(d[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc), field=f"{path}.{key}") from exc
+    for f, hint in fields:
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name in doc:
+            kwargs[f.name] = _from_json(hint, doc[f.name], key)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError("required", field=key)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=path) from exc
-
-
-def _per_step(v):
-    """Accept a scalar or a list for per-step parameters."""
-    if isinstance(v, (list, tuple)):
-        return [float(x) for x in v]
-    return float(v)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=path or None) from exc
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a plain (JSON-decoded) dictionary."""
-    if not isinstance(d, dict):
-        raise ConfigError("config document must be a JSON object")
-    top = {
-        "model": str,
-        "steps": int,
-        "dt": float,
-        "seed": int,
-        "initial_log_price": float,
-        "burn_in": int,
-    }
-    kwargs = {}
-    for key, typ in top.items():
-        if key in d:
-            try:
-                kwargs[key] = typ(d[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc), field=key) from exc
-    if "model" not in kwargs:
-        raise ConfigError("required", field="model")
-    if "steps" not in kwargs:
-        raise ConfigError("required", field="steps")
-    if "price_rule" in d:
-        kwargs["price_rule"] = _parse_section(
-            d["price_rule"], "price_rule", PriceRule,
-            {"gamma": float, "noise": str, "sigma0": float, "delta": float},
-        )
-    if "fw" in d:
-        kwargs["fw"] = _parse_section(
-            d["fw"], "fw", FWParams,
-            {"a": _per_step, "b": _per_step,
-             "log_fundamental": _per_step, "noise_std": float},
-        )
-    if "herding" in d:
-        kwargs["herding"] = _parse_section(
-            d["herding"], "herding", HerdingConfig,
-            {"n_agents": int, "threshold_min": float,
-             "threshold_max": float, "ed_noise_std": float},
-        )
-    unknown = set(d) - set(top) - {"price_rule", "fw", "herding"}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)}")
-    return RunConfig(**kwargs)
+    return _from_dict(RunConfig, d)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    d = dataclasses.asdict(config)
-    # callables are API-only, never serialized
-    d["price_rule"].pop("drift_fn", None)
-    d["price_rule"].pop("noise_fn", None)
+def config_to_dict(config) -> dict:
+    """The JSON form of a config dataclass, which config_from_dict reads back."""
+    d = {}
+    for f, hint in _json_fields(type(config)):
+        value = getattr(config, f.name)
+        d[f.name] = config_to_dict(value) if dataclasses.is_dataclass(hint) else value
     return d
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 
@@ -334,10 +335,6 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
         return list(pool.map(_run_replication, jobs))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:
     """Write log-price and return CSVs plus a JSON diagnostics sidecar.
 
@@ -347,19 +344,16 @@ def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    path = os.path.join(out_dir, f"{stem}_logprices.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,log_price\n")
-        for k, s in enumerate(output.log_prices):
-            fh.write(f"{k},{_fmt(s)}\n")
-    paths.append(path)
-
-    path = os.path.join(out_dir, f"{stem}_returns.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,log_return\n")
-        for k, r in enumerate(output.returns.values):
-            fh.write(f"{k},{_fmt(r)}\n")
-    paths.append(path)
+    for name, header, values in (
+        ("logprices", "step,log_price", output.log_prices),
+        ("returns", "index,log_return", output.returns.values),
+    ):
+        path = os.path.join(out_dir, f"{stem}_{name}.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for k, v in enumerate(values):
+                fh.write(f"{k},{float(v)!r}\n")
+        paths.append(path)
 
     path = os.path.join(out_dir, f"{stem}_diagnostics.json")
     doc = dict(output.diagnostics)

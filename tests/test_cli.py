@@ -81,6 +81,59 @@ class TestAnalyze:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
 
+    @pytest.mark.parametrize("window, message", [
+        (["--from", "2000/01/01"], "InvalidWindow: from: '2000/01/01' is not a YYYY-MM-DD date"),
+        (["--from", "2001-01-01", "--to", "2000-01-01"],
+         "InvalidWindow: from: window start 2001-01-01 after end 2000-01-01"),
+    ])
+    def test_bad_window_fails_every_column(self, tmp_path, window, message):
+        src = tmp_path / "gauss.csv"
+        write_price_csv(src, n=100)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", str(src), *window, "--out-dir", str(out)])
+        assert rc == 1
+        doc = json.loads((out / "table.json").read_text())
+        assert [col["error"] for col in doc.values()] == [message, message]
+
+    def test_bad_manifest_entries_fail_only_their_columns(self, tmp_path):
+        src = tmp_path / "gauss.csv"
+        write_price_csv(src, n=500)
+        missing = tmp_path / "missing.csv"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"label": "ok", "path": str(src)},
+            {"label": "bad_date", "path": str(src), "from": "2000/01/01"},
+            {"label": "no_file", "path": str(missing)},
+        ]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--manifest", str(manifest), "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "table.json").read_text())
+        assert "Skew" in doc["ok (raw)"] and "Skew" in doc["ok (absolute)"]
+        for kind in ("raw", "absolute"):
+            assert doc[f"bad_date ({kind})"]["error"].startswith("InvalidWindow: from:")
+            assert doc[f"no_file ({kind})"]["error"].startswith(f"UnreadableFile: {missing}")
+
+    def test_malformed_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('[{"label": "x",')
+        rc = main(["analyze", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
+        assert "Traceback" not in err
+
+    def test_duplicate_labels_rejected(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        write_price_csv(first, n=100)
+        write_price_csv(second, n=100, seed=1)
+        rc = main(["analyze", "--input", str(first), "--input", str(second),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"SchemaError: label 'x' names both {first} and {second}\n"
+
     def test_requires_some_input(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
 

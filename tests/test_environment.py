@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketfacts.environment import (
     HerdingAgent,
@@ -159,3 +161,19 @@ class TestHerdingStep:
         pop = HerdingPopulation([1.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             herding_step(pop, 0.1, dt=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eds=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+    dt=st.floats(1e-3, 2.0),
+)
+def test_herding_invariants(seed, eds, dt):
+    pop = HerdingPopulation.random(50, np.random.default_rng(seed), (0.2, 1.5))
+    for ed in eds:
+        nxt = herding_step(pop, ed, dt)
+        assert set(np.unique(nxt.sigma)) <= {-1.0, 1.0}
+        assert np.all((nxt.pressure >= 0.0) & (nxt.pressure < nxt.threshold))
+        assert switch_count(pop, nxt) == np.count_nonzero(pop.sigma * nxt.sigma < 0.0)
+        pop = nxt

@@ -42,6 +42,17 @@ class TestReadPrices:
         assert len(series) == 2
         assert report.rows_skipped == 1
 
+    def test_skips_nonfinite_price(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "2010-01-04,inf,101,99,100.5,1000\n",
+            "2010-01-05,100.5,102,99,101.0,1100\n",
+            "2010-01-06,-inf,103,99,102.0,1200\n",
+            "2010-01-07,101.0,103,99,102.0,1200\n",
+        ])
+        series, report = read_prices_report(path)
+        assert list(series.prices) == [100.5, 101.0]
+        assert report.rows_skipped == 2
+
     def test_skips_missing_and_unparseable(self, tmp_path):
         path = write_csv(tmp_path, [
             "2010-01-04,,101,99,100.5,1000\n",

@@ -1,10 +1,12 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from marketfacts.agents import FWParams
+from marketfacts.cli import main
 from marketfacts.errors import ConfigError
 from marketfacts.market import PriceRule
 from marketfacts.sim import (
@@ -77,6 +79,68 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_load_config_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "missing.json")
+
+    def test_from_dict_null_burn_in_is_default(self):
+        cfg = config_from_dict({"model": FW_TWO_AGENT, "steps": 50, "burn_in": None})
+        assert cfg.burn_in == 5
+
+    def test_to_dict_drops_callables(self):
+        cfg = fw_config(price_rule=PriceRule(gamma=1.0, drift_fn=lambda s, ed, dt: ed))
+        assert set(config_to_dict(cfg)["price_rule"]) == {"gamma", "noise", "sigma0", "delta"}
+
+    def test_schedules_hashable_and_round_trip(self):
+        walk = np.cumsum(np.random.default_rng(0).normal(0.0, 0.01, 500))
+        cfg = fw_config(fw=FWParams(a=[1.0] * 500, b=0.5, log_fundamental=walk))
+        assert hash(cfg) == hash(replace(cfg))
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_schedule_container_keeps_bits(self):
+        walk = np.cumsum(np.random.default_rng(1).normal(0.0, 0.01, 500))
+        runs = [
+            run_simulation(fw_config(fw=FWParams(a=1.0, b=0.5, log_fundamental=schedule,
+                                                 noise_std=0.2))).log_prices.tobytes()
+            for schedule in (walk.tolist(), tuple(walk.tolist()), walk)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+
+def _fw_doc(**overrides):
+    doc = {"model": FW_TWO_AGENT, "steps": 10}
+    doc.update(overrides)
+    return doc
+
+
+# (config, field the ConfigError names, message fragment)
+BAD_CONFIGS = [
+    (_fw_doc(dt=math.nan), "dt", "finite number"),
+    (_fw_doc(price_rule={"gamma": math.inf}), "price_rule.gamma", "finite number"),
+    (_fw_doc(steps=True), "steps", "type int"),
+    (_fw_doc(steps=10.9), "steps", "type int"),
+    (_fw_doc(steps="12"), "steps", "type int"),
+    (_fw_doc(seed=1.5), "seed", "type int"),
+    (_fw_doc(herding={"n_agents": 2.5}), "herding.n_agents", "type int"),
+    (_fw_doc(herding={"ed_noise_std": math.nan}), "herding.ed_noise_std", "finite number"),
+    (_fw_doc(fw={"a": [1.0] * 9}), "fw.a", "9 per-step values for 10 steps"),
+    (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("doc, field, message", BAD_CONFIGS)
+def test_bad_config_names_field(doc, field, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=message) as e:
+        config_from_dict(doc)
+    assert e.value.field == field
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"ConfigError: {field}: " in err
+    assert "Traceback" not in err
 
 
 class TestRunSimulation:

@@ -278,7 +278,8 @@ class TestTailCdfPoints:
         u = np.random.default_rng(17).uniform(size=50_000)
         sample = u ** (-1.0 / mu)
         pts = tail_cdf_points(sample)
-        decile = [p for p in pts if p[1] > 0 and p[0] >= np.quantile(sample, 0.9)]
+        q90 = np.quantile(sample, 0.9)
+        decile = [p for p in pts if p[1] > 0 and p[0] >= q90]
         fit = fit_power_decay(decile)
         assert fit.exponent == pytest.approx(mu, abs=0.2)
 
