@@ -10,9 +10,7 @@ Three short experiments with the deterministic skeleton (all noise off):
 import numpy as np
 
 from marketfacts import (
-    ChartistParams,
     FWParams,
-    FundamentalistParams,
     MarketState,
     PriceRule,
     chartist_demand,
@@ -22,22 +20,22 @@ from marketfacts import (
 from marketfacts.sim import FW_TWO_AGENT, RunConfig, run_simulation
 
 print("=== 1. Fundamentalists restore the price ===")
-params = FundamentalistParams(a=1.0, log_fundamental=2.0)
+a, log_fundamental = 1.0, 2.0
 rule = PriceRule(gamma=0.5)
 state = MarketState(log_price=0.0, dt=1.0)
 for k in range(30):
-    ed = fundamentalist_demand(params, state.log_price)
+    ed = fundamentalist_demand(a, log_fundamental, state.log_price)
     state = price_step(state, ed, rule, eta=0.0)
     if k % 5 == 0:
         print(f"step {k:2d}: log price {state.log_price:.6f}  (target 2.0)")
 
 print()
 print("=== 2. Chartists amplify a displacement ===")
-params = ChartistParams(b=2.1)
+b = 2.1
 state = MarketState(log_price=0.1, dt=1.0)
 prev = 0.0
 for k in range(10):
-    ed = chartist_demand(params, state.log_price, prev)
+    ed = chartist_demand(b, state.log_price, prev)
     prev = state.log_price
     state = price_step(state, ed, rule, eta=0.0)
     print(f"step {k}: displacement {state.log_price - prev:+.6f}"

@@ -38,9 +38,7 @@ from .stats import (
 )
 from .market import MarketState, PriceRule, aggregate_excess_demand, price_step
 from .agents import (
-    ChartistParams,
     FWParams,
-    FundamentalistParams,
     chartist_demand,
     franke_westerhoff_ED,
     fundamentalist_demand,

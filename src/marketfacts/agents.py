@@ -22,36 +22,13 @@ def _at(value: float | tuple[float, ...], step: int) -> float:
 
 
 @dataclass(frozen=True)
-class FundamentalistParams:
-    """Reaction weight a and fundamental log value (constant or per-step)."""
-
-    a: float
-    log_fundamental: PerStep = 0.0
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"reaction weight a must be > 0, got {self.a}")
-        object.__setattr__(self, "log_fundamental", _per_step(self.log_fundamental))
-
-
-@dataclass(frozen=True)
-class ChartistParams:
-    """Extrapolation weight b on the last log-price change."""
-
-    b: float
-
-    def __post_init__(self):
-        if self.b <= 0.0:
-            raise ValueError(f"extrapolation weight b must be > 0, got {self.b}")
-
-
-@dataclass(frozen=True)
 class FWParams:
     """Two-agent market: weights (constant or per-step), fundamental value
     and the std of the Gaussian noise added to the aggregated demand.
 
-    Weights may be zero here so that single-agent-type closed loops can be
-    expressed; endogenous strategy switching is out of scope.
+    Weights may be zero so that single-agent-type closed loops can be
+    expressed, but never negative; endogenous strategy switching is out of
+    scope.
     """
 
     a: PerStep = 1.0
@@ -60,10 +37,16 @@ class FWParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         for name in ("a", "b", "log_fundamental"):
-            object.__setattr__(self, name, _per_step(getattr(self, name)))
+            value = _per_step(getattr(self, name))
+            values = np.asarray(value)
+            if not np.isfinite(values).all():
+                raise ValueError(f"every {name} value must be finite")
+            if name != "log_fundamental" and (values < 0.0).any():
+                raise ValueError(f"every {name} value must be >= 0")
+            object.__setattr__(self, name, value)
 
     def weights_at(self, step: int) -> tuple[float, float]:
         return _at(self.a, step), _at(self.b, step)
@@ -72,14 +55,14 @@ class FWParams:
         return _at(self.log_fundamental, step)
 
 
-def fundamentalist_demand(params: FundamentalistParams, log_price: float, step: int = 0) -> float:
+def fundamentalist_demand(a: float, log_fundamental: float, log_price: float) -> float:
     """a * (P_F - P): buy below the fundamental value, sell above it."""
-    return params.a * (_at(params.log_fundamental, step) - log_price)
+    return a * (log_fundamental - log_price)
 
 
-def chartist_demand(params: ChartistParams, log_price_now: float, log_price_prev: float) -> float:
+def chartist_demand(b: float, log_price_now: float, log_price_prev: float) -> float:
     """b * (P_k - P_{k-1}): extrapolate the most recent log-price change."""
-    return params.b * (log_price_now - log_price_prev)
+    return b * (log_price_now - log_price_prev)
 
 
 def franke_westerhoff_ED(ed_chartist: float, ed_fundamentalist: float,

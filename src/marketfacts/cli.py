@@ -9,6 +9,7 @@ the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -74,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path, header, rows):
+    """Write cells that never need quoting (numbers) as plain CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -81,9 +83,7 @@ def _write_csv(path, header, rows):
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return f'"{value}"'
-    return f"{value:.5f}"
+    return value if isinstance(value, str) else f"{value:.5f}"
 
 
 def cmd_analyze(args) -> int:
@@ -144,11 +144,11 @@ def cmd_analyze(args) -> int:
             cell = columns[col].get(stat_name, columns[col].get("error", ""))
             row.append(_cell(cell))
         rows.append(row)
-    _write_csv(
-        os.path.join(args.out_dir, "table.csv"),
-        ["Statistic"] + col_names,
-        rows,
-    )
+    # labels and error messages may hold commas or quotes
+    with open(os.path.join(args.out_dir, "table.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Statistic"] + col_names)
+        writer.writerows(rows)
     with open(
         os.path.join(args.out_dir, "table.json"), "w", encoding="utf-8", newline="\n"
     ) as fh:

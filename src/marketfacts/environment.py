@@ -106,7 +106,7 @@ def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulat
     nothing) gain dt * |ED| pressure; any pressure at or above its
     threshold flips the sign and resets to zero.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     sigma = pop.sigma.copy()
     pressure = pop.pressure.copy()

@@ -78,7 +78,10 @@ def read_prices_report(
 
     with _open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
     start = 0
     if spec.header_present:

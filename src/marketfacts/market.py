@@ -27,7 +27,7 @@ class MarketState:
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
 
     @property
@@ -54,7 +54,7 @@ class PriceRule:
     noise_fn: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self):
-        if self.gamma < 0.0 or self.sigma0 < 0.0 or self.delta < 0.0:
+        if not (self.gamma >= 0.0 and self.sigma0 >= 0.0 and self.delta >= 0.0):
             raise ValueError("gamma, sigma0 and delta must be >= 0")
         if self.noise not in (CONSTANT, PROPORTIONAL):
             raise ValueError(f"unknown noise spec {self.noise!r}")

@@ -8,9 +8,10 @@ of an ensemble uses ``seed + r``.  All stochastic draws come from the run's
 single stream in this fixed order:
 
 * initialization (cross_herding): position signs, then thresholds;
-* each step: the model's demand noise first (the FW additive noise, or the
-  cross model's ED perturbation; drawn only when its std is > 0), then the
-  price noise eta (always drawn).
+* each step: the demand supplier's draws, then the price noise eta (always
+  drawn).  The FW supplier draws its additive noise and the cross supplier
+  its ED perturbation, each only when its std is > 0; a ``custom_step``
+  draws what it likes.
 
 Given (config, seed) every output bit is determined, independent of how
 many ensemble workers run in parallel.
@@ -29,7 +30,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agents import FWParams, PerStep, franke_westerhoff_ED
+from .agents import (
+    FWParams,
+    PerStep,
+    chartist_demand,
+    franke_westerhoff_ED,
+    fundamentalist_demand,
+)
 from .environment import (
     HerdingPopulation,
     herding_step,
@@ -68,7 +75,7 @@ class HerdingConfig:
                 f"invalid band [{self.threshold_min}, {self.threshold_max}]",
                 field="herding.threshold_min",
             )
-        if self.ed_noise_std < 0.0:
+        if not self.ed_noise_std >= 0.0:
             raise ConfigError("must be >= 0", field="herding.ed_noise_std")
 
 
@@ -91,7 +98,7 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}", field="model")
         if self.steps < 1:
             raise ConfigError("must be >= 1", field="steps")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ConfigError("must be > 0", field="dt")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("must be a 64-bit unsigned integer", field="seed")
@@ -221,74 +228,81 @@ def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:
     )
 
 
-def _run_fw(config: RunConfig, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
-    fw = config.fw
-    rule = config.price_rule
-    log_prices = np.empty(config.steps + 1)
-    state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
-    log_prices[0] = state.log_price
-    prev = state.log_price  # no invented pre-history: initial chartist demand 0
-    for k in range(config.steps):
+def _fw_demand(fw: FWParams, initial_log_price: float):
+    """Franke-Westerhoff supplier: the mean of fundamentalist and chartist
+    demand plus additive noise."""
+    prev = initial_log_price  # no invented pre-history: initial chartist demand 0
+
+    def excess_demand(state: MarketState, rng: np.random.Generator) -> float:
+        nonlocal prev
+        k = state.step_index
         a_k, b_k = fw.weights_at(k)
-        ed_f = a_k * (fw.fundamental_at(k) - state.log_price)
-        ed_c = b_k * (state.log_price - prev)
+        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), state.log_price)
+        ed_c = chartist_demand(b_k, state.log_price, prev)
         noise_draw = rng.standard_normal() if fw.noise_std > 0.0 else 0.0
-        ed = franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
-        eta = rng.standard_normal()
         prev = state.log_price
-        state = price_step(state, ed, rule, eta)
-        log_prices[k + 1] = state.log_price
-    return log_prices, {}
+        return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
+
+    return excess_demand
 
 
-def _run_cross(config: RunConfig, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
-    h = config.herding
-    rule = config.price_rule
+def _cross_demand(h: HerdingConfig, rng: np.random.Generator, diagnostics: dict):
+    """Cross herding supplier: the mean position of a threshold-herding
+    population, which then takes one herding step; counts flips in
+    ``diagnostics``."""
     pop = HerdingPopulation.random(
         h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
     )
-    log_prices = np.empty(config.steps + 1)
-    state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
-    log_prices[0] = state.log_price
-    switches = 0
-    for k in range(config.steps):
+    diagnostics.update(switch_count=0, n_agents=h.n_agents)
+
+    def excess_demand(state: MarketState, rng: np.random.Generator) -> float:
+        nonlocal pop
         ed = population_excess_demand(pop)
         ed_env = ed
         if h.ed_noise_std > 0.0:
             ed_env = ed + h.ed_noise_std * rng.standard_normal()
-        new_pop = herding_step(pop, ed_env, config.dt)
-        switches += switch_count(pop, new_pop)
+        new_pop = herding_step(pop, ed_env, state.dt)
+        diagnostics["switch_count"] += switch_count(pop, new_pop)
         pop = new_pop
-        eta = rng.standard_normal()
-        state = price_step(state, ed, rule, eta)
-        log_prices[k + 1] = state.log_price
-    return log_prices, {"switch_count": switches, "n_agents": h.n_agents}
+        return ed
+
+    return excess_demand
 
 
 def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
     """Run one seeded simulation and return its trajectory and returns.
 
-    ``custom_step`` (model == "custom" only) is a callable
-    ``(state, log_prices_so_far, rng) -> ed`` supplying the aggregated
-    excess demand each step; it may draw from ``rng``.
+    The model gives a demand supplier ``excess_demand(state, rng) -> ed``,
+    built once per run, which may keep state between steps and draw from
+    ``rng``.  Each step asks it for the aggregated excess demand, then draws
+    eta and applies the price rule.  ``custom_step`` (model == "custom"
+    only) is a callable ``(state, log_prices_so_far, rng) -> ed`` serving as
+    that supplier.
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
+    log_prices = np.empty(config.steps + 1)
+    state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
+    log_prices[0] = state.log_price
+    if config.model == FW_TWO_AGENT:
+        excess_demand = _fw_demand(config.fw, config.initial_log_price)
+    elif config.model == CROSS_HERDING:
+        excess_demand = _cross_demand(config.herding, rng, diagnostics)
+    elif custom_step is None:
+        raise ConfigError("model 'custom' needs a custom_step callable", field="model")
+    else:
+        def excess_demand(state, rng):
+            return custom_step(state, log_prices[: state.step_index + 1], rng)
+    rule = config.price_rule
     try:
-        if config.model == FW_TWO_AGENT:
-            log_prices, extra = _run_fw(config, rng)
-        elif config.model == CROSS_HERDING:
-            log_prices, extra = _run_cross(config, rng)
-        else:
-            if custom_step is None:
-                raise ConfigError(
-                    "model 'custom' needs a custom_step callable", field="model"
-                )
-            log_prices, extra = _run_custom(config, rng, custom_step)
+        for k in range(config.steps):
+            ed = excess_demand(state, rng)
+            eta = rng.standard_normal()
+            state = price_step(state, ed, rule, eta)
+            log_prices[k + 1] = state.log_price
     except NumericalBlowup as exc:
         exc.args = (f"{exc} (seed {config.seed})",)
         raise
-    diagnostics.update(extra)
     returns = ReturnSeries(
         np.diff(log_prices[config.burn_in:]),
         kind=RAW,
@@ -300,19 +314,6 @@ def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
         diagnostics=diagnostics,
         seed=config.seed,
     )
-
-
-def _run_custom(config: RunConfig, rng, custom_step) -> tuple[np.ndarray, dict]:
-    rule = config.price_rule
-    log_prices = np.empty(config.steps + 1)
-    state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
-    log_prices[0] = state.log_price
-    for k in range(config.steps):
-        ed = custom_step(state, log_prices[: k + 1], rng)
-        eta = rng.standard_normal()
-        state = price_step(state, ed, rule, eta)
-        log_prices[k + 1] = state.log_price
-    return log_prices, {}
 
 
 def _run_replication(args) -> SimOutput:

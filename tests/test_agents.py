@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from marketfacts.agents import (
-    ChartistParams,
     FWParams,
-    FundamentalistParams,
     chartist_demand,
     franke_westerhoff_ED,
     fundamentalist_demand,
@@ -14,12 +12,10 @@ from marketfacts.market import MarketState, PriceRule, price_step
 
 class TestFundamentalistDemand:
     def test_equilibrium(self):
-        p = FundamentalistParams(a=1.3, log_fundamental=0.4)
-        assert fundamentalist_demand(p, 0.4) == 0.0
+        assert fundamentalist_demand(1.3, 0.4, 0.4) == 0.0
 
     def test_direct_evaluation(self):
-        p = FundamentalistParams(a=2.0, log_fundamental=1.0)
-        assert fundamentalist_demand(p, 0.0) == 2.0
+        assert fundamentalist_demand(2.0, 1.0, 0.0) == 2.0
 
     def test_sign_tracks_mispricing(self):
         rng = np.random.default_rng(0)
@@ -27,37 +23,27 @@ class TestFundamentalistDemand:
             a = float(rng.uniform(0.1, 5.0))
             pf = float(rng.normal())
             price = float(rng.normal())
-            demand = fundamentalist_demand(FundamentalistParams(a, pf), price)
+            demand = fundamentalist_demand(a, pf, price)
             assert np.sign(demand) == np.sign(pf - price)
 
     def test_per_step_fundamental(self):
-        p = FundamentalistParams(a=1.0, log_fundamental=[0.0, 1.0, 2.0])
-        assert fundamentalist_demand(p, 0.0, step=2) == 2.0
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            FundamentalistParams(a=0.0)
+        p = FWParams(a=1.0, log_fundamental=[0.0, 1.0, 2.0])
+        assert p.fundamental_at(2) == 2.0
+        assert fundamentalist_demand(p.a, p.fundamental_at(2), 0.0) == 2.0
 
 
 class TestChartistDemand:
     def test_flat_market(self):
-        p = ChartistParams(b=2.0)
-        assert chartist_demand(p, 0.5, 0.5) == 0.0
+        assert chartist_demand(2.0, 0.5, 0.5) == 0.0
 
     def test_direct_evaluation(self):
-        p = ChartistParams(b=3.0)
-        assert chartist_demand(p, 0.2, 0.1) == pytest.approx(0.3, abs=1e-15)
+        assert chartist_demand(3.0, 0.2, 0.1) == pytest.approx(0.3, abs=1e-15)
 
     def test_antisymmetry(self):
-        p = ChartistParams(b=1.7)
         rng = np.random.default_rng(1)
         for _ in range(100):
             now, prev = rng.normal(size=2)
-            assert chartist_demand(p, now, prev) == -chartist_demand(p, prev, now)
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            ChartistParams(b=-1.0)
+            assert chartist_demand(1.7, now, prev) == -chartist_demand(1.7, prev, now)
 
 
 class TestFrankeWesterhoffED:
@@ -87,28 +73,32 @@ class TestFrankeWesterhoffED:
         with pytest.raises(ValueError):
             FWParams(noise_std=-0.5)
 
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError, match="every b value must be >= 0"):
+            FWParams(b=-1.0)
+        # zero weights express single-agent-type markets
+        assert FWParams(a=0.0, b=0.0).weights_at(0) == (0.0, 0.0)
+
 
 class TestClosedLoops:
     def test_fundamentalist_loop_converges_to_fundamental(self):
         # ED = ed_F, linear drift, zero noise, a*gamma*dt < 2
         a, gamma, dt, pf = 1.0, 0.5, 1.0, 2.0
-        params = FundamentalistParams(a=a, log_fundamental=pf)
         rule = PriceRule(gamma=gamma)
         state = MarketState(log_price=0.0, dt=dt)
         for _ in range(10_000):
-            ed = fundamentalist_demand(params, state.log_price)
+            ed = fundamentalist_demand(a, pf, state.log_price)
             state = price_step(state, ed, rule, eta=0.0)
         assert abs(state.log_price - pf) < 1e-8
 
     def test_fundamentalist_loop_damped_oscillation(self):
         # 1 < a*gamma*dt < 2: alternating but shrinking error
         a, gamma, dt, pf = 1.5, 1.0, 1.0, 1.0
-        params = FundamentalistParams(a=a, log_fundamental=pf)
         rule = PriceRule(gamma=gamma)
         state = MarketState(log_price=0.0, dt=dt)
         errors = []
         for _ in range(50):
-            ed = fundamentalist_demand(params, state.log_price)
+            ed = fundamentalist_demand(a, pf, state.log_price)
             state = price_step(state, ed, rule, eta=0.0)
             errors.append(state.log_price - pf)
         assert abs(errors[-1]) < abs(errors[0])
@@ -120,12 +110,11 @@ class TestClosedLoops:
         # displacement grows by exactly c each step
         b, gamma, dt = 2.1, 0.5, 1.0
         c = b * gamma * dt  # 1.05, keeps 100 steps inside the blowup guard
-        params = ChartistParams(b=b)
         rule = PriceRule(gamma=gamma)
         state = MarketState(log_price=0.1, dt=dt)
         prev = 0.0  # initial displacement 0.1
         for _ in range(100):
-            ed = chartist_demand(params, state.log_price, prev)
+            ed = chartist_demand(b, state.log_price, prev)
             prev = state.log_price
             state = price_step(state, ed, rule, eta=0.0)
         growth = (state.log_price - prev) / 0.1

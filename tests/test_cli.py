@@ -134,6 +134,38 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == f"SchemaError: label 'x' names both {first} and {second}\n"
 
+    def test_non_utf8_file_only_source(self, tmp_path, capsys):
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"Date,Open\n2000-01-01,\xff\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(binary), "--out-dir", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "table.json").read_text())
+        assert [col["error"].startswith(f"SchemaError: {binary}: not UTF-8 text")
+                for col in doc.values()] == [True, True]
+
+    def test_non_utf8_file_fails_only_its_columns(self, tmp_path):
+        good, binary = tmp_path / "gauss.csv", tmp_path / "bin.csv"
+        write_price_csv(good, n=500)
+        binary.write_bytes(b"Date,Open\n2000-01-01,\xff\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(good), "--input", str(binary),
+                     "--out-dir", str(out)]) == 0
+        table = read_table(out / "table.csv")
+        for kind in ("raw", "absolute"):
+            assert table["Skew"][f"bin ({kind})"].startswith("SchemaError: ")
+            float(table["Skew"][f"gauss ({kind})"])
+
+    def test_table_csv_quotes_labels(self, tmp_path):
+        src = tmp_path / 'q,"x".csv'
+        write_price_csv(src, n=500)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(src), "--out-dir", str(out)]) == 0
+        with open(out / "table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["Statistic", 'q,"x" (raw)', 'q,"x" (absolute)']
+        assert {len(row) for row in rows} == {3}
+
     def test_requires_some_input(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
 

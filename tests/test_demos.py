@@ -1,0 +1,27 @@
+"""Smoke test: the quick demos run to completion against the source tree.
+
+Demos 03 and 05 take several seconds each and exercise the same
+run_simulation/run_ensemble paths as acceptance criteria 5 and 6.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", [
+    "01_return_statistics.py",
+    "02_two_agent_market.py",
+    "04_csv_ingestion.py",
+])
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the files demo 04 writes inside the test's directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -152,6 +152,12 @@ class TestReadPrices:
         assert a.dates == b.dates
         assert list(a.prices) == list(b.prices)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(STOOQ_HEADER.encode() + b"2010-01-04,\xff,0,0,0,0\n")
+        with pytest.raises(SchemaError, match=f"{path}: not UTF-8 text"):
+            read_prices_report(path)
+
 
 class TestManifest:
     def test_load(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,8 @@ import pytest
 from marketfacts.agents import FWParams
 from marketfacts.cli import main
 from marketfacts.errors import ConfigError
-from marketfacts.market import PriceRule
+from marketfacts.environment import HerdingPopulation, herding_step
+from marketfacts.market import MarketState, PriceRule
 from marketfacts.sim import (
     CROSS_HERDING,
     FW_TWO_AGENT,
@@ -127,6 +129,7 @@ BAD_CONFIGS = [
     (_fw_doc(herding={"ed_noise_std": math.nan}), "herding.ed_noise_std", "finite number"),
     (_fw_doc(fw={"a": [1.0] * 9}), "fw.a", "9 per-step values for 10 steps"),
     (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
+    (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw", "every b value must be >= 0"),
 ]
 
 
@@ -141,6 +144,38 @@ def test_bad_config_names_field(doc, field, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"ConfigError: {field}: " in err
     assert "Traceback" not in err
+
+
+NAN = math.nan
+
+# (builder, error type, message fragment) of values the Python API must
+# reject; NaN passes a plain ``x < 0`` check
+BAD_API_VALUES = {
+    "herding.ed_noise_std": (lambda: HerdingConfig(ed_noise_std=NAN), ConfigError,
+                             "herding.ed_noise_std: must be >= 0"),
+    "run.dt": (lambda: fw_config(dt=NAN), ConfigError, "dt: must be > 0"),
+    "rule.gamma": (lambda: PriceRule(gamma=NAN), ValueError, "must be >= 0"),
+    "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ValueError, "must be >= 0"),
+    "rule.delta": (lambda: PriceRule(delta=NAN), ValueError, "must be >= 0"),
+    "fw.noise_std": (lambda: FWParams(noise_std=NAN), ValueError, "noise_std must be >= 0"),
+    "fw.a_nan": (lambda: FWParams(a=NAN), ValueError, "every a value must be finite"),
+    "fw.a_negative": (lambda: FWParams(a=-1.0), ValueError, "every a value must be >= 0"),
+    "fw.b_inf": (lambda: FWParams(b=math.inf), ValueError, "every b value must be finite"),
+    "fw.b_schedule": (lambda: FWParams(b=[1.0, -0.5]), ValueError,
+                      "every b value must be >= 0"),
+    "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ValueError,
+                           "every log_fundamental value must be finite"),
+    "state.dt": (lambda: MarketState(0.0, dt=NAN), ValueError, "dt must be > 0"),
+    "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
+                        ValueError, "dt must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_API_VALUES)
+def test_python_api_rejects_bad_numbers(case):
+    build, error, message = BAD_API_VALUES[case]
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestRunSimulation:
@@ -240,3 +275,50 @@ class TestWriteSimOutput:
         np.testing.assert_array_equal(values, out.returns.values)
         diag = json.load(open(path_diag))
         assert diag["seed"] == out.seed
+
+
+_WALK = np.cumsum(np.random.default_rng(5).normal(0.0, 0.01, 500)).tolist()
+
+# (config, custom_step, SHA-256 of log_prices.tobytes(), diagnostics), one
+# row per kind of demand supplier; recorded before the price loops were merged
+REFERENCE_RUNS = {
+    "fw": (
+        fw_config(), None,
+        "d3d2a436361e0c251bde6d63f90e45909e8fcb960f3127cd55c10208209e47b2",
+        {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
+    ),
+    "fw_schedule": (
+        fw_config(fw=FWParams(a=[1.0 + 0.001 * k for k in range(500)], b=0.5,
+                              log_fundamental=_WALK, noise_std=0.2)), None,
+        "d3b3efd8b993cf5d26f042a7379cc23ee54bd5c5d3f0f4c22e02334a6d590b36",
+        {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
+    ),
+    "cross": (
+        cross_herding_defaults(seed=3, steps=2000), None,
+        "df296be6e2834afdaa118b189f4369be9730addefb40b2ef1befd877d2cfebb6",
+        {"model": CROSS_HERDING, "steps": 2000, "blowup": None,
+         "switch_count": 6725, "n_agents": 1000},
+    ),
+    "custom": (
+        RunConfig(model="custom", steps=500, dt=0.1, seed=9,
+                  price_rule=PriceRule(gamma=1.0, sigma0=0.05)),
+        lambda state, lp, rng: -0.5 * lp[-1] + 0.1 * rng.standard_normal(),
+        "1f38b36a677f5a9b375e084348ced9c75149f8b151a9222142de4616e8c22918",
+        {"model": "custom", "steps": 500, "blowup": None},
+    ),
+    "fw_rule_fns": (
+        fw_config(price_rule=PriceRule(
+            drift_fn=lambda s, ed, dt: dt * (ed - 0.1 * s),
+            noise_fn=lambda s, ed, dt: 0.05 * math.sqrt(dt) * (1.0 + abs(ed)))), None,
+        "e2b25a00c2879bb8957e7a2993c141b58328bcef97ef15cc11052e1b92f6ccba",
+        {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_reference_bits(name):
+    config, custom_step, digest, diagnostics = REFERENCE_RUNS[name]
+    out = run_simulation(config, custom_step=custom_step)
+    assert hashlib.sha256(out.log_prices.tobytes()).hexdigest() == digest
+    assert out.diagnostics == diagnostics
