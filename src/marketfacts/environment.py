@@ -8,6 +8,7 @@ agents stays fast; :class:`HerdingAgent` is the per-agent value view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,9 @@ class HerdingAgent:
     def __post_init__(self):
         if self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be -1 or +1, got {self.sigma}")
-        if self.pressure < 0.0:
+        if not self.pressure >= 0.0:
             raise ValueError(f"pressure must be >= 0, got {self.pressure}")
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
 
 
@@ -37,24 +38,30 @@ class HerdingPopulation:
 
     __slots__ = ("sigma", "pressure", "threshold")
 
-    def __init__(self, sigma, pressure, threshold, _validate: bool = True):
+    def __init__(self, sigma, pressure, threshold):
         self.sigma = np.asarray(sigma, dtype=float)
         self.pressure = np.asarray(pressure, dtype=float)
         self.threshold = np.asarray(threshold, dtype=float)
-        if _validate:
-            n = self.sigma.size
-            if n == 0:
-                raise NoAgents("herding population must be non-empty")
-            if self.pressure.size != n or self.threshold.size != n:
-                raise ValueError("sigma, pressure and threshold lengths differ")
-            if not np.all(np.abs(self.sigma) == 1.0):
-                raise ValueError("every sigma must be -1 or +1")
-            if np.any(self.pressure < 0.0):
-                raise ValueError("pressures must be >= 0")
-            if np.any(self.threshold <= 0.0):
-                raise ValueError("thresholds must be > 0")
+        n = self.sigma.size
+        if n == 0:
+            raise NoAgents("herding population must be non-empty")
+        if self.pressure.size != n or self.threshold.size != n:
+            raise ValueError("sigma, pressure and threshold lengths differ")
+        if not np.all(np.abs(self.sigma) == 1.0):
+            raise ValueError("every sigma must be -1 or +1")
+        if not np.all(self.pressure >= 0.0):
+            raise ValueError("pressures must be >= 0")
+        if not np.all(self.threshold > 0.0):
+            raise ValueError("thresholds must be > 0")
         for arr in (self.sigma, self.pressure, self.threshold):
             arr.setflags(write=False)
+
+    @classmethod
+    def _of(cls, sigma, pressure, threshold) -> "HerdingPopulation":
+        """Wrap valid read-only arrays as they are: no checks, no copies."""
+        pop = cls.__new__(cls)
+        pop.sigma, pop.pressure, pop.threshold = sigma, pressure, threshold
+        return pop
 
     @classmethod
     def from_agents(cls, agents) -> "HerdingPopulation":
@@ -76,7 +83,7 @@ class HerdingPopulation:
         if n < 1:
             raise NoAgents(f"population size must be >= 1, got {n}")
         lo, hi = threshold_band
-        if not 0.0 < lo <= hi:
+        if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"invalid threshold band [{lo}, {hi}]")
         sigma = rng.choice([-1.0, 1.0], size=n)
         threshold = rng.uniform(lo, hi, size=n)
@@ -94,30 +101,43 @@ class HerdingPopulation:
 
 def population_excess_demand(pop: HerdingPopulation) -> float:
     """Aggregated excess demand with ed_i = sigma_i: the mean position."""
-    if len(pop) == 0:
+    n = pop.sigma.size
+    if n == 0:
         raise NoAgents("empty population")
-    return float(pop.sigma.mean())
+    # a sum of +-1 values is exact in any order, so this is mean() bit for bit
+    return float(np.add.reduce(pop.sigma)) / n
 
 
 def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulation:
     """Synchronous herding update driven by the pre-step value of ED.
 
-    Agents whose sign opposes ED (strict inequality: ED == 0 accrues
+    Agents whose sign opposes ED (strict inequality: ED == 0 or NaN accrues
     nothing) gain dt * |ED| pressure; any pressure at or above its
-    threshold flips the sign and resets to zero.
+    threshold flips the sign and resets to zero.  ``pop`` is left unchanged;
+    the result shares every array the step did not change.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    sigma = pop.sigma.copy()
-    pressure = pop.pressure.copy()
-    minority = sigma * ed < 0.0
-    pressure[minority] += dt * abs(ed)
-    switch = pressure >= pop.threshold
-    sigma[switch] *= -1.0
-    pressure[switch] = 0.0
-    return HerdingPopulation(sigma, pressure, pop.threshold, _validate=False)
+    sigma, pressure = pop.sigma, pop.pressure
+    if ed > 0.0:
+        pressure = np.where(sigma < 0.0, pressure + dt * abs(ed), pressure)
+    elif ed < 0.0:
+        pressure = np.where(sigma > 0.0, pressure + dt * abs(ed), pressure)
+    switch = (pressure >= pop.threshold).nonzero()[0]
+    if switch.size:
+        sigma = sigma.copy()
+        sigma[switch] = -sigma[switch]
+        if pressure is pop.pressure:
+            pressure = pressure.copy()
+        pressure[switch] = 0.0
+        sigma.setflags(write=False)
+    if pressure is not pop.pressure:
+        pressure.setflags(write=False)
+    return HerdingPopulation._of(sigma, pressure, pop.threshold)
 
 
 def switch_count(before: HerdingPopulation, after: HerdingPopulation) -> int:
     """Number of agents whose sign differs between two population states."""
+    if before.sigma is after.sigma:
+        return 0
     return int(np.count_nonzero(before.sigma != after.sigma))

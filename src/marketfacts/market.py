@@ -83,11 +83,14 @@ def aggregate_excess_demand(demands) -> float:
 def price_step(state: MarketState, ed: float, rule: PriceRule, eta: float) -> MarketState:
     """One update of the log price; ``eta`` is a standard normal draw
     supplied by the caller's RNG stream."""
-    s = state.log_price
-    s_next = s + rule.drift(s, ed, state.dt) + rule.noise_amplitude(s, ed, state.dt) * eta
-    if not math.isfinite(s_next) or abs(s_next) > LOG_PRICE_LIMIT:
+    s, dt = state.log_price, state.dt
+    s_next = s + rule.drift(s, ed, dt) + rule.noise_amplitude(s, ed, dt) * eta
+    if not abs(s_next) <= LOG_PRICE_LIMIT:  # also true for NaN
         raise NumericalBlowup(
             f"log price {s_next} out of range at step {state.step_index}",
             step_index=state.step_index,
         )
-    return MarketState(log_price=s_next, step_index=state.step_index + 1, dt=state.dt)
+    # built without __post_init__: dt was checked when ``state`` was built
+    successor = object.__new__(MarketState)
+    successor.__dict__.update(log_price=s_next, step_index=state.step_index + 1, dt=dt)
+    return successor

@@ -13,6 +13,12 @@ single stream in this fixed order:
   its ED perturbation, each only when its std is > 0; a ``custom_step``
   draws what it likes.
 
+The built-in suppliers take their standard normals from the stream in
+blocks of ``NORMAL_BLOCK`` (the last one smaller), drawn as the run needs
+them.  A block holds exactly the values, in exactly the order, that as many
+single draws would give, so the outputs are those of drawing one at a time.
+A ``custom_step`` shares the generator, so its runs draw one at a time.
+
 Given (config, seed) every output bit is determined, independent of how
 many ensemble workers run in parallel.
 """
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import itertools
 import json
+import math
 import os
 import sys
 import typing
@@ -51,6 +59,10 @@ FW_TWO_AGENT = "fw_two_agent"
 CROSS_HERDING = "cross_herding"
 CUSTOM = "custom"
 
+# standard normals per block drawn for the built-in suppliers; a block costs
+# O(NORMAL_BLOCK) memory however long the run
+NORMAL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class HerdingConfig:
@@ -70,6 +82,8 @@ class HerdingConfig:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ConfigError("must be >= 1", field="herding.n_agents")
+        if not self.threshold_max < math.inf:
+            raise ConfigError("must be finite", field="herding.threshold_max")
         if not 0.0 < self.threshold_min <= self.threshold_max:
             raise ConfigError(
                 f"invalid band [{self.threshold_min}, {self.threshold_max}]",
@@ -228,56 +242,64 @@ def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:
     )
 
 
+def _normals(rng: np.random.Generator, count: int):
+    """Callable returning the next of ``count`` standard normals of ``rng``,
+    which it draws in blocks of NORMAL_BLOCK as they are needed."""
+    blocks = (rng.standard_normal(min(NORMAL_BLOCK, count - start)).tolist()
+              for start in range(0, count, NORMAL_BLOCK))
+    return itertools.chain.from_iterable(blocks).__next__
+
+
 def _fw_demand(fw: FWParams, initial_log_price: float):
     """Franke-Westerhoff supplier: the mean of fundamentalist and chartist
-    demand plus additive noise."""
+    demand plus additive noise.  Returns it and its normals per step."""
     prev = initial_log_price  # no invented pre-history: initial chartist demand 0
+    noisy = fw.noise_std > 0.0
 
-    def excess_demand(state: MarketState, rng: np.random.Generator) -> float:
+    def excess_demand(state: MarketState, normal) -> float:
         nonlocal prev
         k = state.step_index
         a_k, b_k = fw.weights_at(k)
         ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), state.log_price)
         ed_c = chartist_demand(b_k, state.log_price, prev)
-        noise_draw = rng.standard_normal() if fw.noise_std > 0.0 else 0.0
+        noise_draw = normal() if noisy else 0.0
         prev = state.log_price
         return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
 
-    return excess_demand
+    return excess_demand, int(noisy)
 
 
 def _cross_demand(h: HerdingConfig, rng: np.random.Generator, diagnostics: dict):
     """Cross herding supplier: the mean position of a threshold-herding
     population, which then takes one herding step; counts flips in
-    ``diagnostics``."""
+    ``diagnostics``.  Returns it and its normals per step."""
     pop = HerdingPopulation.random(
         h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
     )
     diagnostics.update(switch_count=0, n_agents=h.n_agents)
+    noisy = h.ed_noise_std > 0.0
 
-    def excess_demand(state: MarketState, rng: np.random.Generator) -> float:
+    def excess_demand(state: MarketState, normal) -> float:
         nonlocal pop
         ed = population_excess_demand(pop)
-        ed_env = ed
-        if h.ed_noise_std > 0.0:
-            ed_env = ed + h.ed_noise_std * rng.standard_normal()
+        ed_env = ed + h.ed_noise_std * normal() if noisy else ed
         new_pop = herding_step(pop, ed_env, state.dt)
         diagnostics["switch_count"] += switch_count(pop, new_pop)
         pop = new_pop
         return ed
 
-    return excess_demand
+    return excess_demand, int(noisy)
 
 
 def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
     """Run one seeded simulation and return its trajectory and returns.
 
-    The model gives a demand supplier ``excess_demand(state, rng) -> ed``,
-    built once per run, which may keep state between steps and draw from
-    ``rng``.  Each step asks it for the aggregated excess demand, then draws
-    eta and applies the price rule.  ``custom_step`` (model == "custom"
-    only) is a callable ``(state, log_prices_so_far, rng) -> ed`` serving as
-    that supplier.
+    The model gives a demand supplier ``excess_demand(state, normal) -> ed``,
+    built once per run, which may keep state between steps and take standard
+    normals from ``normal()``.  Each step asks it for the aggregated excess
+    demand, then draws eta and applies the price rule.  ``custom_step``
+    (model == "custom" only) is a callable ``(state, log_prices_so_far, rng)
+    -> ed`` serving as that supplier.
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
@@ -285,19 +307,24 @@ def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
     state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
     log_prices[0] = state.log_price
     if config.model == FW_TWO_AGENT:
-        excess_demand = _fw_demand(config.fw, config.initial_log_price)
+        excess_demand, draws = _fw_demand(config.fw, config.initial_log_price)
     elif config.model == CROSS_HERDING:
-        excess_demand = _cross_demand(config.herding, rng, diagnostics)
+        excess_demand, draws = _cross_demand(config.herding, rng, diagnostics)
     elif custom_step is None:
         raise ConfigError("model 'custom' needs a custom_step callable", field="model")
     else:
-        def excess_demand(state, rng):
+        def excess_demand(state, normal):
             return custom_step(state, log_prices[: state.step_index + 1], rng)
+        draws = None  # custom_step shares rng, so every draw is a single one
+    if draws is None:
+        normal = rng.standard_normal
+    else:  # the supplier's draws and eta of every step
+        normal = _normals(rng, (draws + 1) * config.steps)
     rule = config.price_rule
     try:
         for k in range(config.steps):
-            ed = excess_demand(state, rng)
-            eta = rng.standard_normal()
+            ed = excess_demand(state, normal)
+            eta = normal()
             state = price_step(state, ed, rule, eta)
             log_prices[k + 1] = state.log_price
     except NumericalBlowup as exc:

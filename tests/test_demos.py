@@ -20,8 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
     "04_csv_ingestion.py",
 ])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files demo 04 writes inside the test's directory
+    # TMPDIR puts a demo's temporary files in the test's directory, where
+    # none may be left behind
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.iterdir())

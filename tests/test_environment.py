@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,8 +64,9 @@ class TestHerdingPopulation:
         assert np.all((pop.threshold >= 1.0) & (pop.threshold <= 2.0))
 
     def test_random_invalid_band(self):
-        with pytest.raises(ValueError):
-            HerdingPopulation.random(10, np.random.default_rng(0), (0.0, 1.0))
+        for band in [(0.0, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="invalid threshold band"):
+                HerdingPopulation.random(10, np.random.default_rng(0), band)
 
 
 class TestPopulationExcessDemand:
@@ -177,3 +180,45 @@ def test_herding_invariants(seed, eds, dt):
         assert np.all((nxt.pressure >= 0.0) & (nxt.pressure < nxt.threshold))
         assert switch_count(pop, nxt) == np.count_nonzero(pop.sigma * nxt.sigma < 0.0)
         pop = nxt
+
+
+def mask_step(pop, ed, dt):
+    """The boolean-mask form of the herding update: the reference for the
+    bits of ``herding_step``."""
+    sigma = pop.sigma.copy()
+    pressure = pop.pressure.copy()
+    minority = sigma * ed < 0.0
+    pressure[minority] += dt * abs(ed)
+    switch = pressure >= pop.threshold
+    sigma[switch] *= -1.0
+    pressure[switch] = 0.0
+    return sigma, pressure
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    agents=st.lists(
+        st.tuples(
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(0.1, 2.0),
+            # starting pressure as a fraction of the threshold: 1.0 is exactly at it
+            st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(0.0, 2.0)),
+        ),
+        min_size=1, max_size=30,
+    ),
+    ed=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+                 st.floats()),
+    dt=st.floats(1e-3, 2.0),
+)
+def test_herding_step_matches_mask_formula(agents, ed, dt):
+    sigma, threshold, frac = (np.array(col) for col in zip(*agents))
+    pop = HerdingPopulation(sigma, threshold * frac, threshold)
+    before = [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)]
+    want_sigma, want_pressure = mask_step(pop, ed, dt)
+    nxt = herding_step(pop, ed, dt)
+    assert nxt.sigma.tobytes() == want_sigma.tobytes()
+    assert nxt.pressure.tobytes() == want_pressure.tobytes()
+    assert nxt.threshold.tobytes() == before[2]
+    assert [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)] == before
+    assert not (nxt.sigma.flags.writeable or nxt.pressure.flags.writeable)
+    assert population_excess_demand(nxt) == float(nxt.sigma.mean())

@@ -9,11 +9,12 @@ import pytest
 from marketfacts.agents import FWParams
 from marketfacts.cli import main
 from marketfacts.errors import ConfigError
-from marketfacts.environment import HerdingPopulation, herding_step
+from marketfacts.environment import HerdingAgent, HerdingPopulation, herding_step
 from marketfacts.market import MarketState, PriceRule
 from marketfacts.sim import (
     CROSS_HERDING,
     FW_TWO_AGENT,
+    NORMAL_BLOCK,
     HerdingConfig,
     RunConfig,
     config_from_dict,
@@ -168,6 +169,18 @@ BAD_API_VALUES = {
     "state.dt": (lambda: MarketState(0.0, dt=NAN), ValueError, "dt must be > 0"),
     "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
                         ValueError, "dt must be > 0"),
+    "agent.pressure": (lambda: HerdingAgent(1, pressure=NAN), ValueError,
+                       "pressure must be >= 0"),
+    "agent.threshold": (lambda: HerdingAgent(1, threshold=NAN), ValueError,
+                        "threshold must be > 0"),
+    "population.pressure": (lambda: HerdingPopulation([1.0], [NAN], [1.0]), ValueError,
+                            "pressures must be >= 0"),
+    "population.threshold": (lambda: HerdingPopulation([1.0], [0.0], [NAN]), ValueError,
+                             "thresholds must be > 0"),
+    "herding.threshold_max": (lambda: HerdingConfig(threshold_max=math.inf), ConfigError,
+                              "herding.threshold_max: must be finite"),
+    "herding.threshold_max_nan": (lambda: HerdingConfig(threshold_max=NAN), ConfigError,
+                                  "herding.threshold_max: must be finite"),
 }
 
 
@@ -280,7 +293,8 @@ class TestWriteSimOutput:
 _WALK = np.cumsum(np.random.default_rng(5).normal(0.0, 0.01, 500)).tolist()
 
 # (config, custom_step, SHA-256 of log_prices.tobytes(), diagnostics), one
-# row per kind of demand supplier; recorded before the price loops were merged
+# row per kind of demand supplier and per number of normals it draws a step;
+# recorded while every normal was a single draw
 REFERENCE_RUNS = {
     "fw": (
         fw_config(), None,
@@ -313,12 +327,33 @@ REFERENCE_RUNS = {
         "e2b25a00c2879bb8957e7a2993c141b58328bcef97ef15cc11052e1b92f6ccba",
         {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
     ),
+    "fw_no_noise": (
+        fw_config(fw=FWParams(a=1.0, b=0.5, log_fundamental=0.0, noise_std=0.0)), None,
+        "f18410716a8f9e8dd3434c79a66f1ef77530508eeffc3a1c34dbf51480038478",
+        {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
+    ),
+    "cross_no_ed_noise": (
+        replace(cross_herding_defaults(seed=4, steps=2000),
+                herding=HerdingConfig(ed_noise_std=0.0)), None,
+        "bfaecc32b634c1fd8ec4550d070fc9a606d7ef99262bcbc3bc594d5e99e37d18",
+        {"model": CROSS_HERDING, "steps": 2000, "blowup": None,
+         "switch_count": 475, "n_agents": 1000},
+    ),
+    # 5000 normals: more than one block
+    "cross_long": (
+        cross_herding_defaults(seed=6, steps=2500), None,
+        "4419f32d895509be25e721094c34f330690cf35010f194c9cdf0cf4e087a149c",
+        {"model": CROSS_HERDING, "steps": 2500, "blowup": None,
+         "switch_count": 6934, "n_agents": 1000},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
 def test_reference_bits(name):
     config, custom_step, digest, diagnostics = REFERENCE_RUNS[name]
+    if name == "cross_long":
+        assert 2 * config.steps > NORMAL_BLOCK
     out = run_simulation(config, custom_step=custom_step)
     assert hashlib.sha256(out.log_prices.tobytes()).hexdigest() == digest
     assert out.diagnostics == diagnostics
