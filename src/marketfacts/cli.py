@@ -31,6 +31,26 @@ def _parse_lags(text: str):
     return lags
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    if not 0.0 < value < 1.0:  # false for NaN and inf too
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marketfacts",
@@ -44,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD")
     analyze.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD")
     analyze.add_argument("--lags", type=_parse_lags, default=stats.DEFAULT_LAGS)
-    analyze.add_argument("--tail-fraction", type=float, default=stats.DEFAULT_TAIL_FRACTION)
+    analyze.add_argument("--tail-fraction", type=_fraction, default=stats.DEFAULT_TAIL_FRACTION)
     analyze.add_argument("--price-column", default="Open")
     analyze.add_argument("--out-dir", required=True)
 
@@ -68,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD")
     figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD")
     figures.add_argument("--price-column", default="Open")
-    figures.add_argument("--max-lag", type=int, default=100)
-    figures.add_argument("--bins", type=int, default=200)
+    figures.add_argument("--max-lag", type=_positive_int, default=100)
+    figures.add_argument("--bins", type=_positive_int, default=200)
     figures.add_argument("--out-dir", required=True)
     return parser
 
@@ -84,6 +104,10 @@ def _write_csv(path, header, rows):
 
 def _cell(value) -> str:
     return value if isinstance(value, str) else f"{value:.5f}"
+
+
+def _describe(exc: MarketFactsError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def cmd_analyze(args) -> int:
@@ -112,25 +136,24 @@ def cmd_analyze(args) -> int:
         paths[entry.label] = entry.path
 
     columns = {}  # column name -> {stat row -> value or error string}
-    failures = 0
     for entry in sources:
         spec = ingest.CsvSpec(price_column=entry.price_column or args.price_column)
-        for kind in (timeseries.RAW, timeseries.ABSOLUTE):
-            name = f"{entry.label} ({kind})"
+        names = [f"{entry.label} ({kind})" for kind in (timeseries.RAW, timeseries.ABSOLUTE)]
+        try:
+            prices = ingest.read_prices(entry.path, spec, entry.from_date, entry.to_date)
+            raw = timeseries.log_returns(prices)
+            series = (raw, timeseries.absolute_returns(raw))
+        except MarketFactsError as exc:  # a source without returns fails both columns
+            columns.update(dict.fromkeys(names, {"error": _describe(exc)}))
+            continue
+        for name, returns in zip(names, series):
             try:
-                prices = ingest.read_prices(
-                    entry.path, spec, entry.from_date, entry.to_date
-                )
-                returns = timeseries.log_returns(prices)
-                if kind == timeseries.ABSOLUTE:
-                    returns = timeseries.absolute_returns(returns)
                 report = stats.full_report(
                     returns, lags=args.lags, tail_fraction=args.tail_fraction
                 )
                 columns[name] = report.as_dict()
             except MarketFactsError as exc:
-                columns[name] = {"error": f"{type(exc).__name__}: {exc}"}
-                failures += 1
+                columns[name] = {"error": _describe(exc)}
 
     row_names = ["Skew", "Excess Kurtosis", f"Hill {args.tail_fraction:g}"]
     row_names += [f"AutoCorr {lag}" for lag in args.lags]
@@ -155,7 +178,7 @@ def cmd_analyze(args) -> int:
         json.dump(columns, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return 1 if failures == len(columns) else 0
+    return 1 if all("error" in column for column in columns.values()) else 0
 
 
 def _load_config(args) -> sim.RunConfig:
@@ -255,7 +278,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.subcommand](args)
     except MarketFactsError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_describe(exc), file=sys.stderr)
         return 1
 
 

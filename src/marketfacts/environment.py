@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAgents
+from .timeseries import _readonly
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,9 @@ class HerdingPopulation:
     __slots__ = ("sigma", "pressure", "threshold")
 
     def __init__(self, sigma, pressure, threshold):
-        self.sigma = np.asarray(sigma, dtype=float)
-        self.pressure = np.asarray(pressure, dtype=float)
-        self.threshold = np.asarray(threshold, dtype=float)
+        self.sigma = _readonly(sigma)
+        self.pressure = _readonly(pressure)
+        self.threshold = _readonly(threshold)
         n = self.sigma.size
         if n == 0:
             raise NoAgents("herding population must be non-empty")
@@ -53,8 +54,6 @@ class HerdingPopulation:
             raise ValueError("pressures must be >= 0")
         if not np.all(self.threshold > 0.0):
             raise ValueError("thresholds must be > 0")
-        for arr in (self.sigma, self.pressure, self.threshold):
-            arr.setflags(write=False)
 
     @classmethod
     def _of(cls, sigma, pressure, threshold) -> "HerdingPopulation":

@@ -1,11 +1,13 @@
 import csv
 import datetime as dt
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from marketfacts import ingest
 from marketfacts.cli import main
 from marketfacts.sim import config_to_dict, cross_herding_defaults
 
@@ -166,6 +168,26 @@ class TestAnalyze:
         assert rows[0] == ["Statistic", 'q,"x" (raw)', 'q,"x" (absolute)']
         assert {len(row) for row in rows} == {3}
 
+    def test_each_source_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_prices_report = ingest.read_prices_report
+
+        def counting(path, *args, **kwargs):
+            reads.append(path)
+            return read_prices_report(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "read_prices_report", counting)
+        good, single = tmp_path / "gauss.csv", tmp_path / "single.csv"
+        write_price_csv(good, n=500)
+        write_price_csv(single, n=1)  # one usable price: no returns
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(good), "--input", str(single),
+                     "--out-dir", str(out)]) == 0
+        assert reads == [str(good), str(single)]
+        doc = json.loads((out / "table.json").read_text())
+        error = {"error": "InsufficientData: need at least 2 prices for returns, got 1"}
+        assert doc["single (raw)"] == doc["single (absolute)"] == error
+
     def test_requires_some_input(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
 
@@ -179,6 +201,26 @@ class TestAnalyze:
         table = read_table(out / "table.csv")
         assert set(table) == {"Skew", "Excess Kurtosis", "Hill 0.1",
                               "AutoCorr 5", "AutoCorr 15"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figures", "--bins", "0"], "--bins"),
+    (["figures", "--bins", "-1"], "--bins"),
+    (["figures", "--max-lag", "0"], "--max-lag"),
+    (["analyze", "--tail-fraction", "nan"], "--tail-fraction"),
+    (["analyze", "--tail-fraction", "inf"], "--tail-fraction"),
+    (["analyze", "--tail-fraction", "0"], "--tail-fraction"),
+    (["analyze", "--tail-fraction", "1"], "--tail-fraction"),
+])
+def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    src = tmp_path / "gauss.csv"
+    write_price_csv(src, n=200)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(src), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -274,3 +316,68 @@ class TestFigures:
         main(["figures", "--input", str(src), "--out-dir", str(out_b)])
         for name in ("histogram.csv", "qq.csv", "acf_raw.csv", "acf_abs.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+FW_CONFIG = {
+    "model": "fw_two_agent", "steps": 2000, "dt": 0.1, "seed": 11,
+    "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 0.05},
+    "fw": {"a": 1.0, "b": 0.8, "log_fundamental": 0.0, "noise_std": 0.3},
+}
+
+# SHA-256 of every file each command writes; a change to any output byte
+# must show up here, not only in the benchmark's golden digests.
+PINNED_DIGESTS = {
+    "simulate": {
+        "sim_diagnostics.json": "c257ea81e9e5274a94b2644de4f4392ac39d389981e9d3fe73454d18bbdfaff6",
+        "sim_logprices.csv": "edbe548ca3b7e642a305fecb61e241065aeb2df865248106fc67ae4c27ba0204",
+        "sim_returns.csv": "f77fcabce46e90a0f21a5f514c13ad3aaa6e1702236e3d2e344469454d9f4769",
+    },
+    "ensemble": {
+        "ensemble_summary.json": "e7d8c568d60592b94d40cf166444aa1e4e9373aeb4d8adb159c6c7c267bba758",
+        "rep000_diagnostics.json": "80d3dfea9c1929ea1071609ce8cecce967b78cac43ac47c77ac53f8711960b36",
+        "rep000_logprices.csv": "4df70d0b66abbe762352cc1feb38fd9e33e642ff363bb01f70ec581a961b5437",
+        "rep000_returns.csv": "df70b5f3228a1cb0282efee3a39016b692578c3a19e35c16b5b4707ea72d5983",
+        "rep001_diagnostics.json": "8ad983d4e370efb045cbd3ba3a46302b01c13ec672e43f7acb0daee026ec4656",
+        "rep001_logprices.csv": "8c7ba57c1198d93741a00feb247ce51a0fd6c80cc8bcd21f07544f33e98596d6",
+        "rep001_returns.csv": "12c9395bdc1745bbc271b24909f967e2fcf6d20bd84e1dd50722673594a88615",
+    },
+    "figures": {
+        "acf_abs.csv": "83c224f9d6bc86ec13d67a123d84f68902eecc23f46c9bd96b0de6fa2ae539e4",
+        "acf_raw.csv": "8d59f9076d7f818470f5ce4f6b9fa0d364ba8351af93471b6feff9f5475d039f",
+        "histogram.csv": "76b379a6973601330cc2da07465d6ddd11ae562cbb134a896a92136e3470110f",
+        "qq.csv": "7ed7b8264013fe2b7d909ff7d2378c46b678d60f87f8842042f7b6b618dc8766",
+    },
+    "analyze": {
+        "table.csv": "eaccdc1d247e1da4828b1cdf540b1127943bbe6590b70331d1df9bc99a80b0d6",
+        "table.json": "8506c0ca28321b7a8fd3ba3e6c939c1a848e04aeec376aa5268ea884fe3a9f21",
+    },
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep error cells free of tmp_path
+    (tmp_path / "fw.json").write_text(json.dumps(FW_CONFIG))
+    write_config(tmp_path / "cross.json", steps=3000)
+    write_price_csv(tmp_path / "a.csv", n=500, seed=1)
+    write_price_csv(tmp_path / "b.csv", n=400, seed=2)
+    with open(tmp_path / "b.csv", "a") as fh:
+        fh.write("2002-01-01,n/a,0,0,n/a,0\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        [{"label": "b", "path": "b.csv", "from": "2000-03-01"}]))
+    runs = {
+        "simulate": ["simulate", "--config", "fw.json"],
+        "ensemble": ["ensemble", "--config", "cross.json", "--replications", "2",
+                     "--workers", "1"],
+        "figures": ["figures", "--config", "cross.json", "--max-lag", "20",
+                    "--bins", "30"],
+        "analyze": ["analyze", "--input", "a.csv", "--input", "missing.csv",
+                    "--manifest", "m.json"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out-dir", name]) == 0
+    digests = {
+        name: {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / name).iterdir())}
+        for name in runs
+    }
+    assert digests == PINNED_DIGESTS

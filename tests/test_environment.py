@@ -56,6 +56,15 @@ class TestHerdingPopulation:
         with pytest.raises(NoAgents):
             HerdingPopulation([], [], [])
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        sigma, pressure, threshold = np.ones(3), np.zeros(3), np.full(3, 2.0)
+        pop = HerdingPopulation(sigma, pressure, threshold)
+        sigma[0], pressure[0], threshold[0] = -1.0, 5.0, 9.0
+        assert pop.sigma.tolist() == [1.0, 1.0, 1.0]
+        assert pop.pressure.tolist() == [0.0, 0.0, 0.0]
+        assert pop.threshold.tolist() == [2.0, 2.0, 2.0]
+        assert not any(a.flags.writeable for a in (pop.sigma, pop.pressure, pop.threshold))
+
     def test_random_initialization(self):
         pop = HerdingPopulation.random(500, np.random.default_rng(0), (1.0, 2.0))
         assert len(pop) == 500
