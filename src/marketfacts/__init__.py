@@ -34,7 +34,6 @@ from .stats import (
     mean_var,
     qq_data,
     skewness,
-    tail_cdf_points,
 )
 from .market import MarketState, PriceRule, aggregate_excess_demand, price_step
 from .agents import (
@@ -44,7 +43,6 @@ from .agents import (
     fundamentalist_demand,
 )
 from .environment import (
-    HerdingAgent,
     HerdingPopulation,
     herding_step,
     population_excess_demand,
@@ -56,6 +54,6 @@ from .sim import (
     run_ensemble,
     run_simulation,
 )
-from .ingest import CsvSpec, read_prices, read_prices_report
+from .ingest import read_prices, read_prices_report
 
 __version__ = "0.1.0"

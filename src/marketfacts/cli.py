@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--config", required=True, metavar="JSON")
     ensemble.add_argument("--replications", type=int, required=True)
     ensemble.add_argument("--seed", type=int, help="override the config seed")
-    ensemble.add_argument("--workers", type=int, default=1)
+    ensemble.add_argument("--workers", type=_positive_int, default=1)
     ensemble.add_argument("--lags", type=_parse_lags, default=stats.DEFAULT_LAGS)
     ensemble.add_argument("--out-dir", required=True)
 
@@ -137,10 +137,10 @@ def cmd_analyze(args) -> int:
 
     columns = {}  # column name -> {stat row -> value or error string}
     for entry in sources:
-        spec = ingest.CsvSpec(price_column=entry.price_column or args.price_column)
+        price_column = entry.price_column or args.price_column
         names = [f"{entry.label} ({kind})" for kind in (timeseries.RAW, timeseries.ABSOLUTE)]
         try:
-            prices = ingest.read_prices(entry.path, spec, entry.from_date, entry.to_date)
+            prices = ingest.read_prices(entry.path, price_column, entry.from_date, entry.to_date)
             raw = timeseries.log_returns(prices)
             series = (raw, timeseries.absolute_returns(raw))
         except MarketFactsError as exc:  # a source without returns fails both columns
@@ -231,8 +231,7 @@ def cmd_figures(args) -> int:
         print("figures: need exactly one of --input / --config", file=sys.stderr)
         return 2
     if args.input:
-        spec = ingest.CsvSpec(price_column=args.price_column)
-        prices = ingest.read_prices(args.input, spec, args.from_date, args.to_date)
+        prices = ingest.read_prices(args.input, args.price_column, args.from_date, args.to_date)
         raw = timeseries.log_returns(prices)
     else:
         raw = sim.run_simulation(_load_config(args)).returns

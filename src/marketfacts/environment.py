@@ -3,35 +3,17 @@ and accumulate pressure while their position opposes the aggregated excess
 demand; crossing an individual threshold flips the position.
 
 The population is stored as flat numpy arrays so a 10^5-step run over 10^3
-agents stays fast; :class:`HerdingAgent` is the per-agent value view.
+agents stays fast.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoAgents
 from .timeseries import _readonly
-
-
-@dataclass(frozen=True)
-class HerdingAgent:
-    """Position sign, accumulated pressure and switching threshold."""
-
-    sigma: int
-    pressure: float = 0.0
-    threshold: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma not in (-1, 1):
-            raise ValueError(f"sigma must be -1 or +1, got {self.sigma}")
-        if not self.pressure >= 0.0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure}")
-        if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
 
 
 class HerdingPopulation:
@@ -63,15 +45,6 @@ class HerdingPopulation:
         return pop
 
     @classmethod
-    def from_agents(cls, agents) -> "HerdingPopulation":
-        agents = list(agents)
-        return cls(
-            [a.sigma for a in agents],
-            [a.pressure for a in agents],
-            [a.threshold for a in agents],
-        )
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator,
                threshold_band: tuple[float, float] = (1.0, 2.0)) -> "HerdingPopulation":
         """Uniform random signs, zero pressure, thresholds uniform in the band.
@@ -91,20 +64,11 @@ class HerdingPopulation:
     def __len__(self) -> int:
         return int(self.sigma.size)
 
-    def agents(self) -> list[HerdingAgent]:
-        return [
-            HerdingAgent(sigma=int(s), pressure=float(p), threshold=float(t))
-            for s, p, t in zip(self.sigma, self.pressure, self.threshold)
-        ]
-
 
 def population_excess_demand(pop: HerdingPopulation) -> float:
     """Aggregated excess demand with ed_i = sigma_i: the mean position."""
-    n = pop.sigma.size
-    if n == 0:
-        raise NoAgents("empty population")
     # a sum of +-1 values is exact in any order, so this is mean() bit for bit
-    return float(np.add.reduce(pop.sigma)) / n
+    return float(np.add.reduce(pop.sigma)) / pop.sigma.size
 
 
 def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulation:

@@ -1,5 +1,10 @@
 """File-based ingestion of daily OHLC CSV data (stooq/yahoo layouts) into
-validated :class:`~marketfacts.timeseries.PriceSeries`."""
+validated :class:`~marketfacts.timeseries.PriceSeries`.
+
+The layout is fixed: comma-delimited, a header row naming a ``Date`` column
+of ISO ``YYYY-MM-DD`` dates, and the price in a column chosen by name
+(``Open`` by default).
+"""
 
 from __future__ import annotations
 
@@ -7,26 +12,10 @@ import csv
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError, UnreadableFile
 from .timeseries import PriceSeries
-
-
-@dataclass(frozen=True)
-class CsvSpec:
-    """Column layout of a daily price file.
-
-    With ``header_present`` the columns are named; without a header,
-    ``date_column`` and ``price_column`` are zero-based column indices
-    given as strings (e.g. "0").
-    """
-
-    date_column: str = "Date"
-    price_column: str = "Open"
-    date_format: str = "%Y-%m-%d"
-    delimiter: str = ","
-    header_present: bool = True
 
 
 @dataclass(frozen=True)
@@ -39,13 +28,18 @@ class IngestReport:
     rows_out_of_window: int
 
 
+def _parse_date(text: str) -> _dt.date:
+    """The date of a ``YYYY-MM-DD`` string; ValueError if it is not one."""
+    return _dt.datetime.strptime(text.strip(), "%Y-%m-%d").date()
+
+
 def _window_date(value, name: str):
     """A window bound given as None, a ``datetime.date`` or an ISO date string."""
     if value is None or isinstance(value, _dt.date):
         return value
     if isinstance(value, str):
         try:
-            return _dt.datetime.strptime(value.strip(), "%Y-%m-%d").date()
+            return _parse_date(value)
         except ValueError:
             pass
     raise InvalidWindow(f"{name}: {value!r} is not a YYYY-MM-DD date")
@@ -60,7 +54,7 @@ def _open(path, **kwargs):
 
 def read_prices_report(
     path,
-    spec: CsvSpec = CsvSpec(),
+    price_column: str = "Open",
     from_date=None,
     to_date=None,
 ) -> tuple[PriceSeries, IngestReport]:
@@ -77,43 +71,27 @@ def read_prices_report(
         raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
     with _open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
+        reader = csv.reader(fh)
         try:
             rows = list(reader)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
-    start = 0
-    if spec.header_present:
-        if not rows:
-            raise SchemaError(f"{path}: empty file, no header")
-        header = [h.strip() for h in rows[0]]
+    if not rows:
+        raise SchemaError(f"{path}: empty file, no header")
+    header = [h.strip() for h in rows[0]]
+    indices = []
+    for column in ("Date", price_column):
         try:
-            date_idx = header.index(spec.date_column)
+            indices.append(header.index(column))
         except ValueError:
-            raise SchemaError(
-                f"{path}: column {spec.date_column!r} not in header {header}"
-            ) from None
-        try:
-            price_idx = header.index(spec.price_column)
-        except ValueError:
-            raise SchemaError(
-                f"{path}: column {spec.price_column!r} not in header {header}"
-            ) from None
-        start = 1
-    else:
-        try:
-            date_idx = int(spec.date_column)
-            price_idx = int(spec.price_column)
-        except ValueError:
-            raise SchemaError(
-                "without a header, date_column and price_column must be indices"
-            ) from None
+            raise SchemaError(f"{path}: column {column!r} not in header {header}") from None
+    date_idx, price_idx = indices
 
     rows_in = rows_used = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
     records = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         rows_in += 1
@@ -121,9 +99,7 @@ def read_prices_report(
             rows_skipped += 1
             continue
         try:
-            date = _dt.datetime.strptime(
-                row[date_idx].strip(), spec.date_format
-            ).date()
+            date = _parse_date(row[date_idx])
         except ValueError:
             rows_skipped += 1
             continue
@@ -167,8 +143,8 @@ def read_prices_report(
     return series, report
 
 
-def read_prices(path, spec: CsvSpec = CsvSpec(), from_date=None, to_date=None) -> PriceSeries:
-    series, _ = read_prices_report(path, spec, from_date, to_date)
+def read_prices(path, price_column: str = "Open", from_date=None, to_date=None) -> PriceSeries:
+    series, _ = read_prices_report(path, price_column, from_date, to_date)
     return series
 
 

@@ -30,10 +30,6 @@ class MarketState:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
 
-    @property
-    def price(self) -> float:
-        return math.exp(self.log_price)
-
 
 @dataclass(frozen=True)
 class PriceRule:

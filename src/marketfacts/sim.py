@@ -356,8 +356,12 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     """
     if replications < 1:
         raise ConfigError("replications must be >= 1", field="replications")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1", field="workers")
     jobs = [(config, r) for r in range(replications)]
-    if workers <= 1:
+    # a worker beyond one per replication would only start and sit idle
+    workers = min(workers, replications)
+    if workers == 1:
         return [_run_replication(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_replication, jobs))

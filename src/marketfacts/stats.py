@@ -1,5 +1,5 @@
 """Stylized-fact estimators: moments, Hill tail exponent, autocorrelation,
-power-law decay fits and figure-data generators (histogram, qq, tail CDF).
+power-law decay fits and figure-data generators (histogram, qq).
 
 Conventions used throughout:
 
@@ -14,7 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     InsufficientPositivePoints,
     InsufficientTail,
     LagTooLarge,
+    MarketFactsError,
 )
 from .timeseries import ReturnSeries
 
@@ -131,6 +132,8 @@ def hill_estimator(sample, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> floa
     Non-positive entries are dropped first: upper-tail estimation only
     concerns the right tail.
     """
+    if not 0.0 < tail_fraction < 1.0:  # false for NaN too
+        raise InsufficientTail(f"tail fraction {tail_fraction} is not in (0, 1)")
     x = _sample(sample)
     pos = x[x > 0.0]
     m = pos.size
@@ -170,23 +173,6 @@ def acf_profile(series, max_lag: int) -> AcfProfile:
     lags = np.arange(1, max_lag + 1)
     values = np.array([autocorrelation(x, int(l)) for l in lags])
     return AcfProfile(lags=lags, values=values)
-
-
-def tail_cdf_points(sample) -> list[tuple[float, float]]:
-    """Empirical complementary CDF evaluated at each distinct sample value.
-
-    Returns (r, #{x_i > r} / n) pairs sorted by r; monotone non-increasing,
-    ending at 0 for the sample maximum.
-    """
-    x = _sample(sample)
-    n = x.size
-    if n < 1:
-        raise InsufficientData("empty sample")
-    xs = np.sort(x)
-    distinct = np.unique(xs)
-    # count strictly above r via right-side search in the sorted sample
-    above = n - np.searchsorted(xs, distinct, side="right")
-    return [(float(r), float(c) / n) for r, c in zip(distinct, above)]
 
 
 def fit_power_decay(profile_or_points) -> TailFit:
@@ -325,16 +311,17 @@ def full_report(
 ) -> StatsReport:
     """Skew, excess kurtosis, Hill and autocorrelations of one return series.
 
-    Errors from member statistics are re-raised with the failing statistic
-    named in the message.
+    A member statistic's error is re-raised as the same object, with the
+    failing statistic named at the start of its message.
     """
     x = returns.values
 
     def _try(name, fn):
         try:
             return fn()
-        except Exception as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
+        except MarketFactsError as exc:
+            exc.args = (f"{name}: {exc}",)
+            raise
 
     acf = {}
     for lag in lags:

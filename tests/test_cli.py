@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from marketfacts import ingest
+from marketfacts import ingest, sim
 from marketfacts.cli import main
 from marketfacts.sim import config_to_dict, cross_herding_defaults
 
@@ -146,6 +146,20 @@ class TestAnalyze:
         assert [col["error"].startswith(f"SchemaError: {binary}: not UTF-8 text")
                 for col in doc.values()] == [True, True]
 
+    @pytest.mark.parametrize("text", [
+        "2000-01-01,100.0\n2000-01-02,101.0\n",
+        "Date;Open\n2000-01-01;100.0\n2000-01-02;101.0\n",
+    ], ids=["headerless", "semicolons"])
+    def test_file_without_date_column_fails(self, tmp_path, capsys, text):
+        src = tmp_path / "raw.csv"
+        src.write_text(text)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(src), "--out-dir", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "table.json").read_text())
+        assert [col["error"].startswith(f"SchemaError: {src}: column 'Date' not in header")
+                for col in doc.values()] == [True, True]
+
     def test_non_utf8_file_fails_only_its_columns(self, tmp_path):
         good, binary = tmp_path / "gauss.csv", tmp_path / "bin.csv"
         write_price_csv(good, n=500)
@@ -211,6 +225,8 @@ class TestAnalyze:
     (["analyze", "--tail-fraction", "inf"], "--tail-fraction"),
     (["analyze", "--tail-fraction", "0"], "--tail-fraction"),
     (["analyze", "--tail-fraction", "1"], "--tail-fraction"),
+    (["ensemble", "--workers", "0"], "--workers"),
+    (["ensemble", "--workers", "-1"], "--workers"),
 ])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     src = tmp_path / "gauss.csv"
@@ -275,6 +291,30 @@ class TestEnsemble:
         assert summary["replications"] == 3
         assert "Excess Kurtosis" in summary["raw"]
         assert set(summary["raw"]["Skew"]) == {"mean", "std"}
+
+    def test_pool_capped_at_replications(self, tmp_path, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            """Records its size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path / "cfg.json", steps=400)
+        assert main(["ensemble", "--config", str(cfg), "--replications", "2",
+                     "--workers", "8", "--out-dir", str(tmp_path / "out")]) == 0
+        assert opened == [2]
 
 
 class TestFigures:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketfacts.environment import (
-    HerdingAgent,
     HerdingPopulation,
     herding_step,
     population_excess_demand,
@@ -28,33 +27,20 @@ def herding_oracle(agents, ed, dt):
     return out
 
 
-class TestHerdingAgent:
-    def test_valid(self):
-        a = HerdingAgent(sigma=-1, pressure=0.2, threshold=1.5)
-        assert a.sigma == -1
-
-    def test_invalid_fields(self):
-        with pytest.raises(ValueError):
-            HerdingAgent(sigma=0)
-        with pytest.raises(ValueError):
-            HerdingAgent(sigma=1, pressure=-0.1)
-        with pytest.raises(ValueError):
-            HerdingAgent(sigma=1, threshold=0.0)
-
-
 class TestHerdingPopulation:
-    def test_from_agents_roundtrip(self):
-        agents = [
-            HerdingAgent(sigma=1, pressure=0.1, threshold=1.0),
-            HerdingAgent(sigma=-1, pressure=0.0, threshold=2.0),
-        ]
-        pop = HerdingPopulation.from_agents(agents)
-        assert len(pop) == 2
-        assert pop.agents() == agents
-
     def test_empty_rejected(self):
         with pytest.raises(NoAgents):
             HerdingPopulation([], [], [])
+
+    def test_invalid_fields(self):
+        with pytest.raises(ValueError, match="every sigma must be -1 or \\+1"):
+            HerdingPopulation([0.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="pressures must be >= 0"):
+            HerdingPopulation([1.0], [-0.1], [1.0])
+        with pytest.raises(ValueError, match="thresholds must be > 0"):
+            HerdingPopulation([1.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match="lengths differ"):
+            HerdingPopulation([1.0, -1.0], [0.0], [1.0, 1.0])
 
     def test_caller_arrays_stay_writable_and_unshared(self):
         sigma, pressure, threshold = np.ones(3), np.zeros(3), np.full(3, 2.0)

@@ -4,7 +4,6 @@ import pytest
 
 from marketfacts.errors import DuplicateDate, EmptyWindow, SchemaError
 from marketfacts.ingest import (
-    CsvSpec,
     IngestReport,
     load_manifest,
     read_prices,
@@ -119,7 +118,7 @@ class TestReadPrices:
             "2010-01-04,100.0,101,99,200.5,1000\n",
             "2010-01-05,100.5,102,99,201.0,1100\n",
         ])
-        series = read_prices(path, CsvSpec(price_column="Close"))
+        series = read_prices(path, price_column="Close")
         assert list(series.prices) == [200.5, 201.0]
 
     def test_empty_window(self, tmp_path):
@@ -127,21 +126,15 @@ class TestReadPrices:
         with pytest.raises(EmptyWindow):
             read_prices(path, from_date="2015-01-01", to_date="2015-12-31")
 
-    def test_headerless_with_indices(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "2010-01-04,100.0\n2010-01-05,101.0\n",
+        "Date;Open\n2010-01-04;100.0\n2010-01-05;101.0\n",
+    ], ids=["headerless", "semicolons"])
+    def test_layout_other_than_comma_header_rejected(self, tmp_path, text):
         path = tmp_path / "raw.csv"
-        path.write_text("2010-01-04;100.0\n2010-01-05;101.0\n")
-        spec = CsvSpec(date_column="0", price_column="1",
-                       delimiter=";", header_present=False)
-        series = read_prices(path, spec)
-        assert len(series) == 2
-
-    def test_custom_date_format(self, tmp_path):
-        path = write_csv(tmp_path, [
-            "04/01/2010,100.0,0,0,0,0\n",
-            "05/01/2010,101.0,0,0,0,0\n",
-        ])
-        series = read_prices(path, CsvSpec(date_format="%d/%m/%Y"))
-        assert series.dates[0] == dt.date(2010, 1, 4)
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="column 'Date' not in header"):
+            read_prices(path)
 
     def test_rereading_is_identical(self, tmp_path):
         path = write_csv(tmp_path, [

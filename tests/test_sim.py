@@ -9,7 +9,7 @@ import pytest
 from marketfacts.agents import FWParams
 from marketfacts.cli import main
 from marketfacts.errors import ConfigError
-from marketfacts.environment import HerdingAgent, HerdingPopulation, herding_step
+from marketfacts.environment import HerdingPopulation, herding_step
 from marketfacts.market import MarketState, PriceRule
 from marketfacts.sim import (
     CROSS_HERDING,
@@ -169,10 +169,6 @@ BAD_API_VALUES = {
     "state.dt": (lambda: MarketState(0.0, dt=NAN), ValueError, "dt must be > 0"),
     "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
                         ValueError, "dt must be > 0"),
-    "agent.pressure": (lambda: HerdingAgent(1, pressure=NAN), ValueError,
-                       "pressure must be >= 0"),
-    "agent.threshold": (lambda: HerdingAgent(1, threshold=NAN), ValueError,
-                        "threshold must be > 0"),
     "population.pressure": (lambda: HerdingPopulation([1.0], [NAN], [1.0]), ValueError,
                             "pressures must be >= 0"),
     "population.threshold": (lambda: HerdingPopulation([1.0], [0.0], [NAN]), ValueError,
@@ -268,6 +264,12 @@ class TestRunEnsemble:
     def test_rejects_zero_replications(self):
         with pytest.raises(ConfigError):
             run_ensemble(fw_config(), 0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1") as e:
+            run_ensemble(fw_config(), 2, workers=workers)
+        assert e.value.field == "workers"
 
 
 class TestWriteSimOutput:

@@ -4,13 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
+from marketfacts import stats
 from marketfacts.errors import (
+    ConfigError,
     DegenerateSample,
     DegenerateTail,
     InsufficientData,
     InsufficientPositivePoints,
     InsufficientTail,
     LagTooLarge,
+    MarketFactsError,
+    NumericalBlowup,
 )
 from marketfacts.stats import (
     AcfProfile,
@@ -25,7 +29,6 @@ from marketfacts.stats import (
     norm_ppf,
     qq_data,
     skewness,
-    tail_cdf_points,
 )
 from marketfacts.timeseries import RAW, ReturnSeries
 
@@ -182,6 +185,11 @@ class TestHillEstimator:
         with pytest.raises(InsufficientTail):
             hill_estimator(np.ones(10))  # k = 0
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_tail_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(InsufficientTail, match=r"is not in \(0, 1\)"):
+            hill_estimator(np.random.default_rng(12).lognormal(size=1000), fraction)
+
     def test_degenerate_tail(self):
         # 60 positives whose top four coincide: zero log-excess sum
         sample = np.concatenate([[2.0, 2.0, 2.0, 2.0], np.linspace(0.01, 0.99, 56)])
@@ -255,36 +263,17 @@ class TestAcfProfile:
 
 # ------------------------------------------------------------- tail / fit
 
-class TestTailCdfPoints:
-    def test_counting(self):
-        pts = dict(tail_cdf_points([1.0, 2.0, 3.0, 4.0]))
-        assert pts[1.0] == 0.75
-        assert pts[4.0] == 0.0
-
-    def test_monotone_nonincreasing_and_max_zero(self):
-        x = np.random.default_rng(16).normal(size=500)
-        pts = tail_cdf_points(x)
-        values = [p for _, p in pts]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == 0.0
-        assert values[0] == (len(x) - 1) / len(x)  # only the min is not above itself
-
-    def test_empty(self):
-        with pytest.raises(InsufficientData):
-            tail_cdf_points([])
-
+class TestFitPowerDecay:
     def test_pareto_tail_regression(self):
         mu = 2.5
-        u = np.random.default_rng(17).uniform(size=50_000)
-        sample = u ** (-1.0 / mu)
-        pts = tail_cdf_points(sample)
-        q90 = np.quantile(sample, 0.9)
-        decile = [p for p in pts if p[1] > 0 and p[0] >= q90]
-        fit = fit_power_decay(decile)
+        sample = np.sort(np.random.default_rng(17).uniform(size=50_000) ** (-1.0 / mu))
+        n = sample.size
+        # complementary CDF #{x > r} / n at each (distinct) sample value r
+        ccdf = (n - 1 - np.arange(n)) / n
+        decile = (sample >= np.quantile(sample, 0.9)) & (ccdf > 0)
+        fit = fit_power_decay(zip(sample[decile], ccdf[decile]))
         assert fit.exponent == pytest.approx(mu, abs=0.2)
 
-
-class TestFitPowerDecay:
     def test_exact_power_law(self):
         lags = np.arange(1, 51)
         profile = AcfProfile(lags=lags, values=lags**-0.5)
@@ -380,6 +369,12 @@ class TestQqData:
 
 # ---------------------------------------------------------- full report
 
+class TwoArgumentError(MarketFactsError):
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
 class TestFullReport:
     def test_deterministic(self):
         r = ReturnSeries(np.random.default_rng(20).standard_normal(5000), kind=RAW)
@@ -405,3 +400,21 @@ class TestFullReport:
             full_report(ReturnSeries(np.arange(20.0), kind=RAW))
         with pytest.raises(DegenerateSample, match="autocorrelation|skewness"):
             full_report(r)
+
+    @pytest.mark.parametrize("error, message", [
+        (ConfigError("bad", field="f"), "skewness: f: bad"),
+        (NumericalBlowup("boom", step_index=3), "skewness: boom"),
+        (TwoArgumentError("odd", 7), "skewness: odd"),
+        (RuntimeError("not ours"), "not ours"),
+    ], ids=["field", "step_index", "two_arguments", "foreign"])
+    def test_member_error_reraised_as_same_object(self, monkeypatch, error, message):
+        def failing(_):
+            raise error
+
+        monkeypatch.setattr(stats, "skewness", failing)
+        sample = ReturnSeries(np.random.default_rng(22).standard_normal(500), kind=RAW)
+        with pytest.raises(type(error)) as e:
+            full_report(sample)
+        # the same object, so attributes such as field and step_index survive
+        assert e.value is error
+        assert str(e.value) == message
