@@ -172,6 +172,20 @@ class TestAnalyze:
             assert table["Skew"][f"bin ({kind})"].startswith("SchemaError: ")
             float(table["Skew"][f"gauss ({kind})"])
 
+    def test_csv_parser_error_fails_only_its_columns(self, tmp_path, capsys):
+        huge, good = tmp_path / "huge.csv", tmp_path / "ok.csv"
+        huge.write_text('Date,Open\n2000-01-01,"' + "x" * (csv.field_size_limit() + 1) + '"\n')
+        write_price_csv(good, n=500)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(huge), "--input", str(good),
+                     "--out-dir", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "table.json").read_text())
+        message = (f"SchemaError: {huge}: line 2: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        assert [doc[f"huge ({kind})"] for kind in ("raw", "absolute")] == [{"error": message}] * 2
+        assert "Skew" in doc["ok (raw)"] and "Skew" in doc["ok (absolute)"]
+
     def test_table_csv_quotes_labels(self, tmp_path):
         src = tmp_path / 'q,"x".csv'
         write_price_csv(src, n=500)

@@ -1,10 +1,14 @@
+import csv
 import datetime as dt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from marketfacts.errors import DuplicateDate, EmptyWindow, SchemaError
+from marketfacts.errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError
 from marketfacts.ingest import (
     IngestReport,
+    _parse_date,
     load_manifest,
     read_prices,
     read_prices_report,
@@ -150,6 +154,98 @@ class TestReadPrices:
         path.write_bytes(STOOQ_HEADER.encode() + b"2010-01-04,\xff,0,0,0,0\n")
         with pytest.raises(SchemaError, match=f"{path}: not UTF-8 text"):
             read_prices_report(path)
+
+    def test_non_utf8_offset_counts_from_file_start(self, tmp_path):
+        head = STOOQ_HEADER.encode() + b"".join(
+            f"{dt.date(2000, 1, 1) + dt.timedelta(days=k)},100.0,0,0,0,0\n".encode()
+            for k in range(400)
+        )
+        assert len(head) > 8192  # past the first decode chunk of a text file
+        path = tmp_path / "bin.csv"
+        path.write_bytes(head + b"2010-01-04,\xff,0,0,0,0\n")
+        offset = len(head) + len(b"2010-01-04,")
+        with pytest.raises(SchemaError) as info:
+            read_prices_report(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte {offset}"
+
+    def test_csv_parser_error_is_schema_error(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "2010-01-04,100.0,0,0,0,0\n",
+            '2010-01-05,"' + "x" * (csv.field_size_limit() + 1) + '",0,0,0,0\n',
+        ])
+        with pytest.raises(SchemaError) as info:
+            read_prices_report(path)
+        assert str(info.value) == (
+            f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
+        )
+
+    @pytest.mark.parametrize("bound, name", [("from_date", "from"), ("to_date", "to")])
+    def test_datetime_window_bound_rejected(self, tmp_path, bound, name):
+        path = write_csv(tmp_path, ["2000-01-04,100.0,0,0,0,0\n"])
+        with pytest.raises(InvalidWindow, match=rf"^{name}: datetime\.datetime\(2000, 1, 4, 0, 0\)"):
+            read_prices(path, **{bound: dt.datetime(2000, 1, 4)})
+        assert len(read_prices(path, **{bound: dt.date(2000, 1, 4)})) == 1
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_line_endings_read_alike(self, tmp_path, ending):
+        lines = [
+            "Date,Open,Note",
+            "2010-01-04,100.0,plain",
+            '2010-01-05,101.0,"two\nlines"',
+            "",
+            "2010-01-06,n/a,x",
+            "2010-01-07,102.0,x",
+        ]
+        reads = []
+        for name, sep in (("lf.csv", "\n"), ("other.csv", ending)):
+            path = tmp_path / name
+            path.write_bytes((sep.join(lines) + sep).encode())
+            reads.append(read_prices_report(path))
+        (lf, lf_report), (other, other_report) = reads
+        assert other.dates == lf.dates
+        assert list(other.prices) == list(lf.prices) == [100.0, 101.0, 102.0]
+        assert other_report == lf_report == IngestReport(4, 3, 1, 0)
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+@st.composite
+def _near_iso(draw):
+    """Strings shaped like, or close to, ``YYYY-MM-DD``."""
+    year = draw(st.integers(0, 10_000))
+    month, day = draw(st.integers(0, 13)), draw(st.integers(0, 32))
+    width = draw(st.sampled_from([1, 2]))
+    text = draw(st.sampled_from([
+        f"{year:04d}-{month:0{width}d}-{day:0{width}d}",
+        f"{year:04d}{month:02d}{day:02d}",  # compact ISO
+        f"{year:04d}-W{month:02d}-{day % 10}",  # ISO week date
+        f"{year}-{month:02d}-{day:02d}",
+    ]))
+    full_width = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    text = "".join(c.translate(_FULL_WIDTH) if w else c for c, w in zip(text, full_width))
+    pad = st.sampled_from(["", " ", "\t", "\u3000", "\n"])
+    return draw(pad) + text + draw(pad)
+
+
+class TestParseDate:
+    @settings(max_examples=300)
+    @given(st.text() | _near_iso())
+    @example("2020-01-05")
+    @example(" 2020-1-05 ")  # strptime only: the fallback
+    @example("2020-W01-1")  # fromisoformat only: the shape guard
+    @example("20200105")
+    @example("２０２０-01-05")  # strptime takes non-ASCII digits where its pattern has \d
+    @example("２０２０-０１-０５")
+    @example("2020-02-30")
+    def test_agrees_with_strptime(self, text):
+        try:
+            expected = dt.datetime.strptime(text.strip(), "%Y-%m-%d").date()
+        except ValueError:
+            with pytest.raises(ValueError):
+                _parse_date(text)
+        else:
+            assert _parse_date(text) == expected
 
 
 class TestManifest:
