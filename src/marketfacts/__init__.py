@@ -9,6 +9,7 @@ Submodules:
 * :mod:`marketfacts.environment` -- threshold-herding population
 * :mod:`marketfacts.sim` -- seeded Monte-Carlo runs and ensembles
 * :mod:`marketfacts.ingest` -- daily OHLC CSV ingestion
+* :mod:`marketfacts.output` -- the byte-stable output files
 * :mod:`marketfacts.cli` -- command-line front end
 """
 

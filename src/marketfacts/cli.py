@@ -9,8 +9,6 @@ the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -19,6 +17,7 @@ import numpy as np
 
 from . import ingest, sim, stats, timeseries
 from .errors import MarketFactsError, SchemaError
+from .output import write_columns, write_json, write_table
 
 
 def _parse_lags(text: str):
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ensemble = sub.add_parser("ensemble", help="replicated runs + summary stats")
     ensemble.add_argument("--config", required=True, metavar="JSON")
-    ensemble.add_argument("--replications", type=int, required=True)
+    ensemble.add_argument("--replications", type=_positive_int, required=True)
     ensemble.add_argument("--seed", type=int, help="override the config seed")
     ensemble.add_argument("--workers", type=_positive_int, default=1)
     ensemble.add_argument("--lags", type=_parse_lags, default=stats.DEFAULT_LAGS)
@@ -92,14 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--bins", type=_positive_int, default=200)
     figures.add_argument("--out-dir", required=True)
     return parser
-
-
-def _write_csv(path, header, rows):
-    """Write cells that never need quoting (numbers) as plain CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _cell(value) -> str:
@@ -158,25 +149,16 @@ def cmd_analyze(args) -> int:
     row_names = ["Skew", "Excess Kurtosis", f"Hill {args.tail_fraction:g}"]
     row_names += [f"AutoCorr {lag}" for lag in args.lags]
 
-    os.makedirs(args.out_dir, exist_ok=True)
     col_names = list(columns)
-    rows = []
+    rows = [["Statistic"] + col_names]
     for stat_name in row_names:
         row = [stat_name]
         for col in col_names:
             cell = columns[col].get(stat_name, columns[col].get("error", ""))
             row.append(_cell(cell))
         rows.append(row)
-    # labels and error messages may hold commas or quotes
-    with open(os.path.join(args.out_dir, "table.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Statistic"] + col_names)
-        writer.writerows(rows)
-    with open(
-        os.path.join(args.out_dir, "table.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(columns, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(os.path.join(args.out_dir, "table.csv"), rows)
+    write_json(os.path.join(args.out_dir, "table.json"), columns)
 
     return 1 if all("error" in column for column in columns.values()) else 0
 
@@ -198,7 +180,6 @@ def cmd_simulate(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _load_config(args)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
-    os.makedirs(args.out_dir, exist_ok=True)
     per_rep = {timeseries.RAW: [], timeseries.ABSOLUTE: []}
     for r, output in enumerate(outputs):
         sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
@@ -215,14 +196,7 @@ def cmd_ensemble(args) -> int:
             vals = np.array([rep[key] for rep in reports])
             block[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
         summary[kind] = block
-    with open(
-        os.path.join(args.out_dir, "ensemble_summary.json"),
-        "w",
-        encoding="utf-8",
-        newline="\n",
-    ) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out_dir, "ensemble_summary.json"), summary)
     return 0
 
 
@@ -237,29 +211,23 @@ def cmd_figures(args) -> int:
         raw = sim.run_simulation(_load_config(args)).returns
     absolute = timeseries.absolute_returns(raw)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    fmt = lambda x: repr(float(x))
-
     edges, counts, centers, density = stats.histogram_data(raw.values, args.bins)
-    _write_csv(
+    write_columns(
         os.path.join(args.out_dir, "histogram.csv"),
-        ["bin_left", "bin_right", "bin_center", "count", "gaussian_density"],
-        [
-            [fmt(edges[i]), fmt(edges[i + 1]), fmt(centers[i]), str(int(counts[i])), fmt(density[i])]
-            for i in range(len(counts))
-        ],
+        ("bin_left", "bin_right", "bin_center", "count", "gaussian_density"),
+        edges[:-1], edges[1:], centers, counts, density,
     )
-    _write_csv(
+    write_columns(
         os.path.join(args.out_dir, "qq.csv"),
-        ["theoretical_quantile", "empirical_quantile"],
-        [[fmt(t), fmt(e)] for t, e in stats.qq_data(raw.values)],
+        ("theoretical_quantile", "empirical_quantile"),
+        *stats.qq_data(raw.values),
     )
     for name, series in (("acf_raw.csv", raw), ("acf_abs.csv", absolute)):
         profile = stats.acf_profile(series.values, args.max_lag)
-        _write_csv(
+        write_columns(
             os.path.join(args.out_dir, name),
-            ["lag", "autocorrelation"],
-            [[str(int(l)), fmt(v)] for l, v in zip(profile.lags, profile.values)],
+            ("lag", "autocorrelation"),
+            profile.lags, profile.values,
         )
     return 0
 

@@ -112,7 +112,10 @@ def read_prices_report(
         date_idx, price_idx = indices
         last_idx = max(indices)
 
-        for lineno, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            # the line a record starts on; a quoted cell may span lines
+            lineno, next_line = next_line, reader.line_num + 1
             if not any(map(str.strip, row)):
                 continue
             rows_in += 1
@@ -155,7 +158,6 @@ def read_prices_report(
     series = PriceSeries(
         dates=tuple(d for d, _ in records),
         prices=[p for _, p in records],
-        label=str(path),
     )
     report = IngestReport(
         rows_in=rows_in,
@@ -187,7 +189,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     with _open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SchemaError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: manifest must be a JSON list")

@@ -53,6 +53,7 @@ from .environment import (
 )
 from .errors import ConfigError, NumericalBlowup
 from .market import MarketState, PriceRule, price_step
+from .output import write_columns, write_json
 from .timeseries import RAW, ReturnSeries
 
 FW_TWO_AGENT = "fw_two_agent"
@@ -222,7 +223,7 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
@@ -330,11 +331,7 @@ def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
     except NumericalBlowup as exc:
         exc.args = (f"{exc} (seed {config.seed})",)
         raise
-    returns = ReturnSeries(
-        np.diff(log_prices[config.burn_in:]),
-        kind=RAW,
-        origin=f"{config.model} seed={config.seed}",
-    )
+    returns = ReturnSeries(np.diff(log_prices[config.burn_in:]), kind=RAW)
     return SimOutput(
         log_prices=log_prices,
         returns=returns,
@@ -368,30 +365,14 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
 
 
 def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:
-    """Write log-price and return CSVs plus a JSON diagnostics sidecar.
-
-    Full double precision; no timestamps, so identical runs produce
-    byte-identical files.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    for name, header, values in (
-        ("logprices", "step,log_price", output.log_prices),
-        ("returns", "index,log_return", output.returns.values),
-    ):
-        path = os.path.join(out_dir, f"{stem}_{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for k, v in enumerate(values):
-                fh.write(f"{k},{float(v)!r}\n")
-        paths.append(path)
-
-    path = os.path.join(out_dir, f"{stem}_diagnostics.json")
-    doc = dict(output.diagnostics)
-    doc["seed"] = output.seed
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(path)
+    """Write log-price and return CSVs plus a JSON diagnostics sidecar, in
+    the byte-stable format of :mod:`marketfacts.output`."""
+    paths = [os.path.join(out_dir, f"{stem}_{name}")
+             for name in ("logprices.csv", "returns.csv", "diagnostics.json")]
+    logprices, returns, diagnostics = paths
+    write_columns(logprices, ("step", "log_price"),
+                  range(len(output.log_prices)), output.log_prices)
+    write_columns(returns, ("index", "log_return"),
+                  range(len(output.returns)), output.returns.values)
+    write_json(diagnostics, {**output.diagnostics, "seed": output.seed})
     return paths

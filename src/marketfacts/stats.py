@@ -41,8 +41,6 @@ class StatsReport:
     excess_kurtosis: float
     hill: float
     acf_at_lags: dict
-    sample_size: int
-    kind: str
     tail_fraction: float = DEFAULT_TAIL_FRACTION
 
     def as_dict(self) -> dict:
@@ -285,11 +283,11 @@ def norm_ppf(p: float) -> float:
     return -_norm_ppf_half(1.0 - p)
 
 
-def qq_data(sample) -> list[tuple[float, float]]:
-    """Gaussian quantile-quantile pairs (theoretical, empirical).
+def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian quantile-quantile arrays (theoretical, empirical).
 
-    Sorted sample values paired with mean + sigma * Phi^{-1}((i - 0.5)/n),
-    i = 1..n (Hazen plotting positions).
+    mean + sigma * Phi^{-1}((i - 0.5)/n) for i = 1..n (Hazen plotting
+    positions), and the sorted sample.
     """
     x = _sample(sample)
     n = x.size
@@ -298,10 +296,8 @@ def qq_data(sample) -> list[tuple[float, float]]:
     mean, var = mean_var(x)
     if var == 0.0:
         raise DegenerateSample("zero variance: qq plot undefined")
-    sigma = math.sqrt(var)
-    xs = np.sort(x)
-    theo = [mean + sigma * norm_ppf((i - 0.5) / n) for i in range(1, n + 1)]
-    return list(zip(theo, (float(v) for v in xs)))
+    ppf = np.fromiter((norm_ppf((i - 0.5) / n) for i in range(1, n + 1)), float, n)
+    return mean + math.sqrt(var) * ppf, np.sort(x)
 
 
 def full_report(
@@ -331,7 +327,5 @@ def full_report(
         excess_kurtosis=_try("excess_kurtosis", lambda: excess_kurtosis(x)),
         hill=_try("hill_estimator", lambda: hill_estimator(x, tail_fraction)),
         acf_at_lags=acf,
-        sample_size=int(x.size),
-        kind=returns.kind,
         tail_fraction=tail_fraction,
     )

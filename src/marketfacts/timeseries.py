@@ -30,7 +30,6 @@ class PriceSeries:
 
     dates: tuple
     prices: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -64,7 +63,6 @@ class ReturnSeries:
 
     values: np.ndarray
     kind: str = RAW
-    origin: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -87,11 +85,11 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     # log1p of the relative change keeps full relative precision even when
     # consecutive prices are nearly equal (plain log differences do not)
     values = np.log1p(np.diff(p) / p[:-1])
-    return ReturnSeries(values, kind=RAW, origin=prices.label)
+    return ReturnSeries(values, kind=RAW)
 
 
 def absolute_returns(returns: ReturnSeries) -> ReturnSeries:
     """Elementwise absolute value of a raw return series."""
     if returns.kind != RAW:
         raise InvalidKind("absolute_returns expects a raw return series")
-    return ReturnSeries(np.abs(returns.values), kind=ABSOLUTE, origin=returns.origin)
+    return ReturnSeries(np.abs(returns.values), kind=ABSOLUTE)

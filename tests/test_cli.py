@@ -117,12 +117,14 @@ class TestAnalyze:
 
     def test_malformed_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
-        manifest.write_text('[{"label": "x",')
-        rc = main(["analyze", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
-        assert "Traceback" not in err
+        # the second document nests past the JSON decoder's recursion limit
+        for text in ('[{"label": "x",', "[" * 100_000):
+            manifest.write_text(text)
+            rc = main(["analyze", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
+            assert "Traceback" not in err
 
     def test_duplicate_labels_rejected(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
@@ -241,6 +243,8 @@ class TestAnalyze:
     (["analyze", "--tail-fraction", "1"], "--tail-fraction"),
     (["ensemble", "--workers", "0"], "--workers"),
     (["ensemble", "--workers", "-1"], "--workers"),
+    (["ensemble", "--replications", "0"], "--replications"),
+    (["ensemble", "--replications", "-1"], "--replications"),
 ])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     src = tmp_path / "gauss.csv"
@@ -283,9 +287,13 @@ class TestSimulate:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "fw_two_agent"}))
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
-        assert "ConfigError" in capsys.readouterr().err
+        # the second document nests past the JSON decoder's recursion limit
+        for text in (json.dumps({"model": "fw_two_agent"}), "[" * 100_000):
+            cfg.write_text(text)
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ConfigError")
+            assert "Traceback" not in err
 
 
 class TestEnsemble:

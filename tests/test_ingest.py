@@ -112,6 +112,16 @@ class TestReadPrices:
         with pytest.raises(DuplicateDate, match="lines 2 and 4"):
             read_prices(path)
 
+    def test_duplicate_date_line_numbers_count_quoted_newlines(self, tmp_path):
+        # the record on lines 3-5 holds a quoted cell with two newlines
+        path = write_csv(tmp_path, [
+            "2010-01-04,100.0,0,0,0,0\n",
+            '2010-01-05,101.0,"a\nb\nc",0,0,0\n',
+            "2010-01-04,102.0,0,0,0,0\n",
+        ])
+        with pytest.raises(DuplicateDate, match="lines 2 and 6"):
+            read_prices(path)
+
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, ["2010-01-04,100.0\n"], header="Date,Close\n")
         with pytest.raises(SchemaError, match="Open"):

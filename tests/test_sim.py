@@ -79,9 +79,11 @@ class TestRunConfig:
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # the second document nests past the JSON decoder's recursion limit
+        for text in ("{not json", "[" * 100_000):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(path)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):

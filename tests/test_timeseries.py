@@ -20,7 +20,7 @@ from marketfacts.timeseries import (
 
 def make_series(prices, start=dt.date(2010, 1, 1)):
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(prices)))
-    return PriceSeries(dates=dates, prices=prices, label="test")
+    return PriceSeries(dates=dates, prices=prices)
 
 
 class TestPriceSeries:
