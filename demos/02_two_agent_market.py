@@ -7,8 +7,6 @@ Three short experiments with the deterministic skeleton (all noise off):
 3. the mixed market with noise produces an irregular price path.
 """
 
-import numpy as np
-
 from marketfacts import (
     FWParams,
     MarketState,

@@ -27,6 +27,8 @@ def _parse_lags(text: str):
         raise argparse.ArgumentTypeError(f"bad lag list {text!r}") from None
     if not lags or any(l < 1 for l in lags):
         raise argparse.ArgumentTypeError("lags must be positive integers")
+    if len(set(lags)) < len(lags):
+        raise argparse.ArgumentTypeError(f"repeated lag in {text!r}")
     return lags
 
 
@@ -83,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="histogram/qq/ACF data files")
     figures.add_argument("--input", metavar="CSV", help="price file to analyze")
     figures.add_argument("--config", metavar="JSON", help="or simulate fresh returns")
-    figures.add_argument("--seed", type=int, help="override the config seed")
-    figures.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD")
-    figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD")
-    figures.add_argument("--price-column", default="Open")
+    figures.add_argument("--seed", type=int, help="override the config seed (--config only)")
+    figures.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD", help="--input only")
+    figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD", help="--input only")
+    figures.add_argument("--price-column", help="--input only; default Open")
     figures.add_argument("--max-lag", type=_positive_int, default=100)
     figures.add_argument("--bins", type=_positive_int, default=200)
     figures.add_argument("--out-dir", required=True)
@@ -205,7 +207,17 @@ def cmd_figures(args) -> int:
         print("figures: need exactly one of --input / --config", file=sys.stderr)
         return 2
     if args.input:
-        prices = ingest.read_prices(args.input, args.price_column, args.from_date, args.to_date)
+        source, unused = "--input", {"--seed": args.seed}
+    else:
+        source, unused = "--config", {"--from": args.from_date, "--to": args.to_date,
+                                      "--price-column": args.price_column}
+    given = [flag for flag, value in unused.items() if value is not None]
+    if given:
+        print(f"figures: {', '.join(given)} not used with {source}", file=sys.stderr)
+        return 2
+    if args.input:
+        column = "Open" if args.price_column is None else args.price_column
+        prices = ingest.read_prices(args.input, column, args.from_date, args.to_date)
         raw = timeseries.log_returns(prices)
     else:
         raw = sim.run_simulation(_load_config(args)).returns

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,19 +34,16 @@ class MarketState:
 class PriceRule:
     """Drift F and noise amplitude G of the price update.
 
-    Built-ins: linear drift F = gamma * dt * ED (market-maker speed gamma),
-    and either constant noise G = sigma0 * sqrt(dt) or ED-proportional noise
+    Linear drift F = gamma * dt * ED (market-maker speed gamma), and either
+    constant noise G = sigma0 * sqrt(dt) or ED-proportional noise
     G = delta * sqrt(dt) * |ED|.  The sqrt(dt) scaling keeps dt-refinement
-    consistent with a diffusion limit.  ``drift_fn`` / ``noise_fn`` override
-    the built-ins with arbitrary pure functions of (log_price, ed, dt).
+    consistent with a diffusion limit.
     """
 
     gamma: float = 0.0
     noise: str = CONSTANT
     sigma0: float = 0.0
     delta: float = 0.0
-    drift_fn: Optional[Callable[[float, float, float], float]] = None
-    noise_fn: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self):
         if not (self.gamma >= 0.0 and self.sigma0 >= 0.0 and self.delta >= 0.0):
@@ -56,13 +52,9 @@ class PriceRule:
             raise ValueError(f"unknown noise spec {self.noise!r}")
 
     def drift(self, log_price: float, ed: float, dt: float) -> float:
-        if self.drift_fn is not None:
-            return self.drift_fn(log_price, ed, dt)
         return self.gamma * dt * ed
 
     def noise_amplitude(self, log_price: float, ed: float, dt: float) -> float:
-        if self.noise_fn is not None:
-            return self.noise_fn(log_price, ed, dt)
         if self.noise == CONSTANT:
             return self.sigma0 * math.sqrt(dt)
         return self.delta * math.sqrt(dt) * abs(ed)

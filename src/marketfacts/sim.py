@@ -10,14 +10,12 @@ single stream in this fixed order:
 * initialization (cross_herding): position signs, then thresholds;
 * each step: the demand supplier's draws, then the price noise eta (always
   drawn).  The FW supplier draws its additive noise and the cross supplier
-  its ED perturbation, each only when its std is > 0; a ``custom_step``
-  draws what it likes.
+  its ED perturbation, each only when its std is > 0.
 
-The built-in suppliers take their standard normals from the stream in
-blocks of ``NORMAL_BLOCK`` (the last one smaller), drawn as the run needs
-them.  A block holds exactly the values, in exactly the order, that as many
-single draws would give, so the outputs are those of drawing one at a time.
-A ``custom_step`` shares the generator, so its runs draw one at a time.
+Standard normals come from the stream in blocks of ``NORMAL_BLOCK`` (the
+last one smaller), drawn as the run needs them.  A block holds exactly the
+values, in exactly the order, that as many single draws would give, so the
+outputs are those of drawing one at a time.
 
 Given (config, seed) every output bit is determined, independent of how
 many ensemble workers run in parallel.
@@ -25,7 +23,6 @@ many ensemble workers run in parallel.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import itertools
 import json
@@ -58,9 +55,8 @@ from .timeseries import RAW, ReturnSeries
 
 FW_TWO_AGENT = "fw_two_agent"
 CROSS_HERDING = "cross_herding"
-CUSTOM = "custom"
 
-# standard normals per block drawn for the built-in suppliers; a block costs
+# standard normals per block drawn for a run; a block costs
 # O(NORMAL_BLOCK) memory however long the run
 NORMAL_BLOCK = 4096
 
@@ -109,7 +105,7 @@ class RunConfig:
     herding: HerdingConfig = field(default_factory=HerdingConfig)
 
     def __post_init__(self):
-        if self.model not in (FW_TWO_AGENT, CROSS_HERDING, CUSTOM):
+        if self.model not in (FW_TWO_AGENT, CROSS_HERDING):
             raise ConfigError(f"unknown model {self.model!r}", field="model")
         if self.steps < 1:
             raise ConfigError("must be >= 1", field="steps")
@@ -144,16 +140,9 @@ class SimOutput:
 
 
 def _json_fields(cls) -> list:
-    """(field, type) of each field of a config dataclass that has a JSON
-    form; fields typed Callable (or Optional[Callable]) are API-only."""
+    """(field, type) of each field of a config dataclass."""
     hints = typing.get_type_hints(cls)
-    fields = []
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        origins = {typing.get_origin(h) for h in (hint, *typing.get_args(hint))}
-        if collections.abc.Callable not in origins:
-            fields.append((f, hint))
-    return fields
+    return [(f, hints[f.name]) for f in dataclasses.fields(cls)]
 
 
 def _finite(value, path: str) -> float:
@@ -292,15 +281,13 @@ def _cross_demand(h: HerdingConfig, rng: np.random.Generator, diagnostics: dict)
     return excess_demand, int(noisy)
 
 
-def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
+def run_simulation(config: RunConfig) -> SimOutput:
     """Run one seeded simulation and return its trajectory and returns.
 
     The model gives a demand supplier ``excess_demand(state, normal) -> ed``,
     built once per run, which may keep state between steps and take standard
     normals from ``normal()``.  Each step asks it for the aggregated excess
-    demand, then draws eta and applies the price rule.  ``custom_step``
-    (model == "custom" only) is a callable ``(state, log_prices_so_far, rng)
-    -> ed`` serving as that supplier.
+    demand, then draws eta and applies the price rule.
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
@@ -309,18 +296,10 @@ def run_simulation(config: RunConfig, custom_step=None) -> SimOutput:
     log_prices[0] = state.log_price
     if config.model == FW_TWO_AGENT:
         excess_demand, draws = _fw_demand(config.fw, config.initial_log_price)
-    elif config.model == CROSS_HERDING:
-        excess_demand, draws = _cross_demand(config.herding, rng, diagnostics)
-    elif custom_step is None:
-        raise ConfigError("model 'custom' needs a custom_step callable", field="model")
     else:
-        def excess_demand(state, normal):
-            return custom_step(state, log_prices[: state.step_index + 1], rng)
-        draws = None  # custom_step shares rng, so every draw is a single one
-    if draws is None:
-        normal = rng.standard_normal
-    else:  # the supplier's draws and eta of every step
-        normal = _normals(rng, (draws + 1) * config.steps)
+        excess_demand, draws = _cross_demand(config.herding, rng, diagnostics)
+    # the supplier's draws and eta of every step
+    normal = _normals(rng, (draws + 1) * config.steps)
     rule = config.price_rule
     try:
         for k in range(config.steps):
@@ -353,6 +332,10 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     """
     if replications < 1:
         raise ConfigError("replications must be >= 1", field="replications")
+    last_seed = config.seed + replications - 1
+    if last_seed >= 2**64:
+        raise ConfigError(f"replication {replications - 1} would run with seed {last_seed}, "
+                          "which is not a 64-bit unsigned integer", field="seed")
     if workers < 1:
         raise ConfigError("workers must be >= 1", field="workers")
     jobs = [(config, r) for r in range(replications)]

@@ -24,7 +24,6 @@ from marketfacts import (
     fit_power_decay,
     hill_estimator,
     run_ensemble,
-    run_simulation,
     skewness,
 )
 from marketfacts.agents import chartist_demand, fundamentalist_demand

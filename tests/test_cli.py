@@ -245,6 +245,7 @@ class TestAnalyze:
     (["ensemble", "--workers", "-1"], "--workers"),
     (["ensemble", "--replications", "0"], "--replications"),
     (["ensemble", "--replications", "-1"], "--replications"),
+    (["analyze", "--lags", "10,10,5"], "--lags"),
 ])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     src = tmp_path / "gauss.csv"
@@ -369,6 +370,30 @@ class TestFigures:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["figures", "--out-dir", str(tmp_path)]) == 2
+
+    def test_input_takes_window_and_price_column(self, tmp_path):
+        src = tmp_path / "p.csv"
+        write_price_csv(src, n=200)
+        out = tmp_path / "out"
+        assert main(["figures", "--input", str(src), "--from", "2000-02-01",
+                     "--price-column", "Close", "--out-dir", str(out)]) == 0
+        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        assert sum(int(r["count"]) for r in hist) == 168  # 169 prices from Feb 1
+
+    @pytest.mark.parametrize("source, flag, value", [
+        ("--config", "--from", "2000-01-01"),
+        ("--config", "--to", "2000-12-31"),
+        ("--config", "--price-column", "Close"),
+        ("--input", "--seed", "3"),
+    ])
+    def test_flag_the_source_ignores_is_usage_error(self, tmp_path, capsys, source, flag, value):
+        paths = {"--config": write_config(tmp_path / "cfg.json"), "--input": tmp_path / "p.csv"}
+        write_price_csv(paths["--input"], n=200)
+        out = tmp_path / "out"
+        assert main(["figures", source, str(paths[source]), flag, value,
+                     "--out-dir", str(out)]) == 2
+        assert f"figures: {flag} not used with {source}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_is_byte_identical(self, tmp_path):
         src = tmp_path / "gauss.csv"

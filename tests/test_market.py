@@ -47,15 +47,6 @@ class TestPriceRule:
         prop = PriceRule(noise="proportional", delta=2.0)
         assert prop.noise_amplitude(0.0, -1.5, 4.0) == 2.0 * 2.0 * 1.5
 
-    def test_custom_functions_override(self):
-        rule = PriceRule(
-            gamma=9.0,
-            drift_fn=lambda s, ed, dt: -s * dt,
-            noise_fn=lambda s, ed, dt: 0.0,
-        )
-        assert rule.drift(2.0, 100.0, 0.5) == -1.0
-        assert rule.noise_amplitude(2.0, 100.0, 0.5) == 0.0
-
 
 class TestPriceStep:
     def test_null_dynamics(self):

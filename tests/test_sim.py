@@ -93,10 +93,6 @@ class TestRunConfig:
         cfg = config_from_dict({"model": FW_TWO_AGENT, "steps": 50, "burn_in": None})
         assert cfg.burn_in == 5
 
-    def test_to_dict_drops_callables(self):
-        cfg = fw_config(price_rule=PriceRule(gamma=1.0, drift_fn=lambda s, ed, dt: ed))
-        assert set(config_to_dict(cfg)["price_rule"]) == {"gamma", "noise", "sigma0", "delta"}
-
     def test_schedules_hashable_and_round_trip(self):
         walk = np.cumsum(np.random.default_rng(0).normal(0.0, 0.01, 500))
         cfg = fw_config(fw=FWParams(a=[1.0] * 500, b=0.5, log_fundamental=walk))
@@ -112,6 +108,23 @@ class TestRunConfig:
             for schedule in (walk.tolist(), tuple(walk.tolist()), walk)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+ROUND_TRIP_CONFIGS = {
+    "fw_constant": fw_config(),
+    "fw_scheduled": fw_config(fw=FWParams(a=[1.0 + 0.001 * k for k in range(500)], b=0.5,
+                                          log_fundamental=[0.01 * k for k in range(600)],
+                                          noise_std=0.0)),
+    "cross": cross_herding_defaults(seed=5, steps=200),
+    "cross_no_ed_noise": replace(cross_herding_defaults(seed=2**64 - 1, steps=300),
+                                 burn_in=0, herding=HerdingConfig(ed_noise_std=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_CONFIGS)
+def test_config_round_trips_through_json(name):
+    config = ROUND_TRIP_CONFIGS[name]
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def _fw_doc(**overrides):
@@ -133,6 +146,7 @@ BAD_CONFIGS = [
     (_fw_doc(fw={"a": [1.0] * 9}), "fw.a", "9 per-step values for 10 steps"),
     (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
     (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw", "every b value must be >= 0"),
+    ({"model": "custom", "steps": 10}, "model", "unknown model 'custom'"),
 ]
 
 
@@ -225,20 +239,6 @@ class TestRunSimulation:
         assert out.diagnostics["switch_count"] > 0
         assert out.diagnostics["n_agents"] == 1000
 
-    def test_custom_model_requires_callable(self):
-        cfg = fw_config()
-        cfg = replace(cfg, model="custom")
-        with pytest.raises(ConfigError):
-            run_simulation(cfg)
-
-    def test_custom_model_runs(self):
-        cfg = RunConfig(
-            model="custom", steps=100, dt=1.0, seed=0,
-            price_rule=PriceRule(gamma=1.0),
-        )
-        out = run_simulation(cfg, custom_step=lambda state, lp, rng: 0.01)
-        assert out.log_prices[-1] == pytest.approx(1.0)
-
 
 class TestRunEnsemble:
     def test_single_replication_equals_run(self):
@@ -273,6 +273,21 @@ class TestRunEnsemble:
             run_ensemble(fw_config(), 2, workers=workers)
         assert e.value.field == "workers"
 
+    def test_last_seed_must_fit_64_bits(self, tmp_path, capsys):
+        top = 2**64 - 1
+        assert [o.seed for o in run_ensemble(fw_config(seed=top - 1, steps=50), 2)] == [top - 1, top]
+        message = f"seed: replication 1 would run with seed {2**64}"
+        with pytest.raises(ConfigError, match=message) as e:
+            run_ensemble(fw_config(seed=top), 2)
+        assert e.value.field == "seed"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(fw_config(steps=50))))
+        assert main(["ensemble", "--config", str(path), "--seed", str(top),
+                     "--replications", "2", "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"ConfigError: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestWriteSimOutput:
     def test_files_written_and_byte_identical(self, tmp_path):
@@ -296,56 +311,42 @@ class TestWriteSimOutput:
 
 _WALK = np.cumsum(np.random.default_rng(5).normal(0.0, 0.01, 500)).tolist()
 
-# (config, custom_step, SHA-256 of log_prices.tobytes(), diagnostics), one
-# row per kind of demand supplier and per number of normals it draws a step;
-# recorded while every normal was a single draw
+# (config, SHA-256 of log_prices.tobytes(), diagnostics), one row per kind
+# of demand supplier and per number of normals it draws a step; recorded
+# while every normal was a single draw
 REFERENCE_RUNS = {
     "fw": (
-        fw_config(), None,
+        fw_config(),
         "d3d2a436361e0c251bde6d63f90e45909e8fcb960f3127cd55c10208209e47b2",
         {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
     ),
     "fw_schedule": (
         fw_config(fw=FWParams(a=[1.0 + 0.001 * k for k in range(500)], b=0.5,
-                              log_fundamental=_WALK, noise_std=0.2)), None,
+                              log_fundamental=_WALK, noise_std=0.2)),
         "d3b3efd8b993cf5d26f042a7379cc23ee54bd5c5d3f0f4c22e02334a6d590b36",
         {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
     ),
     "cross": (
-        cross_herding_defaults(seed=3, steps=2000), None,
+        cross_herding_defaults(seed=3, steps=2000),
         "df296be6e2834afdaa118b189f4369be9730addefb40b2ef1befd877d2cfebb6",
         {"model": CROSS_HERDING, "steps": 2000, "blowup": None,
          "switch_count": 6725, "n_agents": 1000},
     ),
-    "custom": (
-        RunConfig(model="custom", steps=500, dt=0.1, seed=9,
-                  price_rule=PriceRule(gamma=1.0, sigma0=0.05)),
-        lambda state, lp, rng: -0.5 * lp[-1] + 0.1 * rng.standard_normal(),
-        "1f38b36a677f5a9b375e084348ced9c75149f8b151a9222142de4616e8c22918",
-        {"model": "custom", "steps": 500, "blowup": None},
-    ),
-    "fw_rule_fns": (
-        fw_config(price_rule=PriceRule(
-            drift_fn=lambda s, ed, dt: dt * (ed - 0.1 * s),
-            noise_fn=lambda s, ed, dt: 0.05 * math.sqrt(dt) * (1.0 + abs(ed)))), None,
-        "e2b25a00c2879bb8957e7a2993c141b58328bcef97ef15cc11052e1b92f6ccba",
-        {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
-    ),
     "fw_no_noise": (
-        fw_config(fw=FWParams(a=1.0, b=0.5, log_fundamental=0.0, noise_std=0.0)), None,
+        fw_config(fw=FWParams(a=1.0, b=0.5, log_fundamental=0.0, noise_std=0.0)),
         "f18410716a8f9e8dd3434c79a66f1ef77530508eeffc3a1c34dbf51480038478",
         {"model": FW_TWO_AGENT, "steps": 500, "blowup": None},
     ),
     "cross_no_ed_noise": (
         replace(cross_herding_defaults(seed=4, steps=2000),
-                herding=HerdingConfig(ed_noise_std=0.0)), None,
+                herding=HerdingConfig(ed_noise_std=0.0)),
         "bfaecc32b634c1fd8ec4550d070fc9a606d7ef99262bcbc3bc594d5e99e37d18",
         {"model": CROSS_HERDING, "steps": 2000, "blowup": None,
          "switch_count": 475, "n_agents": 1000},
     ),
     # 5000 normals: more than one block
     "cross_long": (
-        cross_herding_defaults(seed=6, steps=2500), None,
+        cross_herding_defaults(seed=6, steps=2500),
         "4419f32d895509be25e721094c34f330690cf35010f194c9cdf0cf4e087a149c",
         {"model": CROSS_HERDING, "steps": 2500, "blowup": None,
          "switch_count": 6934, "n_agents": 1000},
@@ -355,9 +356,9 @@ REFERENCE_RUNS = {
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
 def test_reference_bits(name):
-    config, custom_step, digest, diagnostics = REFERENCE_RUNS[name]
+    config, digest, diagnostics = REFERENCE_RUNS[name]
     if name == "cross_long":
         assert 2 * config.steps > NORMAL_BLOCK
-    out = run_simulation(config, custom_step=custom_step)
+    out = run_simulation(config)
     assert hashlib.sha256(out.log_prices.tobytes()).hexdigest() == digest
     assert out.diagnostics == diagnostics
