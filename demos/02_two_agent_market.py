@@ -9,7 +9,6 @@ Three short experiments with the deterministic skeleton (all noise off):
 
 from marketfacts import (
     FWParams,
-    MarketState,
     PriceRule,
     chartist_demand,
     fundamentalist_demand,
@@ -19,24 +18,23 @@ from marketfacts.sim import FW_TWO_AGENT, RunConfig, run_simulation
 
 print("=== 1. Fundamentalists restore the price ===")
 a, log_fundamental = 1.0, 2.0
-rule = PriceRule(gamma=0.5)
-state = MarketState(log_price=0.0, dt=1.0)
+rule, dt = PriceRule(gamma=0.5), 1.0
+s = 0.0  # log price
 for k in range(30):
-    ed = fundamentalist_demand(a, log_fundamental, state.log_price)
-    state = price_step(state, ed, rule, eta=0.0)
+    ed = fundamentalist_demand(a, log_fundamental, s)
+    s = price_step(s, ed, dt, rule, eta=0.0)
     if k % 5 == 0:
-        print(f"step {k:2d}: log price {state.log_price:.6f}  (target 2.0)")
+        print(f"step {k:2d}: log price {s:.6f}  (target 2.0)")
 
 print()
 print("=== 2. Chartists amplify a displacement ===")
 b = 2.1
-state = MarketState(log_price=0.1, dt=1.0)
-prev = 0.0
+s, prev = 0.1, 0.0
 for k in range(10):
-    ed = chartist_demand(b, state.log_price, prev)
-    prev = state.log_price
-    state = price_step(state, ed, rule, eta=0.0)
-    print(f"step {k}: displacement {state.log_price - prev:+.6f}"
+    ed = chartist_demand(b, s, prev)
+    prev = s
+    s = price_step(s, ed, dt, rule, eta=0.0)
+    print(f"step {k}: displacement {s - prev:+.6f}"
           "  (grows by b*gamma*dt = 1.05 each step)")
 
 print()

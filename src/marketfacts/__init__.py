@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`marketfacts.timeseries` -- price/return types and log transforms
 * :mod:`marketfacts.stats` -- moments, Hill estimator, ACF, power-law fits
-* :mod:`marketfacts.market` -- aggregated excess demand and price updates
+* :mod:`marketfacts.market` -- the price update rule
 * :mod:`marketfacts.agents` -- fundamentalist/chartist demands
 * :mod:`marketfacts.environment` -- threshold-herding population
 * :mod:`marketfacts.sim` -- seeded Monte-Carlo runs and ensembles
@@ -36,7 +36,7 @@ from .stats import (
     qq_data,
     skewness,
 )
-from .market import MarketState, PriceRule, aggregate_excess_demand, price_step
+from .market import PriceRule, price_step
 from .agents import (
     FWParams,
     chartist_demand,

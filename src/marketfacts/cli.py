@@ -19,6 +19,9 @@ from . import ingest, sim, stats, timeseries
 from .errors import MarketFactsError, SchemaError
 from .output import write_columns, write_json, write_table
 
+# upper bound of ``figures --bins``; each bin is one row of histogram.csv
+MAX_BINS = 100_000
+
 
 def _parse_lags(text: str):
     try:
@@ -39,6 +42,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def _bin_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BINS}, got {value}")
     return value
 
 
@@ -90,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD", help="--input only")
     figures.add_argument("--price-column", help="--input only; default Open")
     figures.add_argument("--max-lag", type=_positive_int, default=100)
-    figures.add_argument("--bins", type=_positive_int, default=200)
+    figures.add_argument("--bins", type=_bin_count, default=200)
     figures.add_argument("--out-dir", required=True)
     return parser
 

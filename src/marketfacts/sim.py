@@ -49,7 +49,7 @@ from .environment import (
     switch_count,
 )
 from .errors import ConfigError, NumericalBlowup
-from .market import MarketState, PriceRule, price_step
+from .market import PriceRule, price_step
 from .output import write_columns, write_json
 from .timeseries import RAW, ReturnSeries
 
@@ -246,34 +246,33 @@ def _fw_demand(fw: FWParams, initial_log_price: float):
     prev = initial_log_price  # no invented pre-history: initial chartist demand 0
     noisy = fw.noise_std > 0.0
 
-    def excess_demand(state: MarketState, normal) -> float:
+    def excess_demand(k: int, log_price: float, normal) -> float:
         nonlocal prev
-        k = state.step_index
         a_k, b_k = fw.weights_at(k)
-        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), state.log_price)
-        ed_c = chartist_demand(b_k, state.log_price, prev)
+        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), log_price)
+        ed_c = chartist_demand(b_k, log_price, prev)
         noise_draw = normal() if noisy else 0.0
-        prev = state.log_price
+        prev = log_price
         return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
 
     return excess_demand, int(noisy)
 
 
-def _cross_demand(h: HerdingConfig, rng: np.random.Generator, diagnostics: dict):
+def _cross_demand(h: HerdingConfig, dt: float, rng: np.random.Generator, diagnostics: dict):
     """Cross herding supplier: the mean position of a threshold-herding
-    population, which then takes one herding step; counts flips in
-    ``diagnostics``.  Returns it and its normals per step."""
+    population, which then takes one herding step of size ``dt``; counts
+    flips in ``diagnostics``.  Returns it and its normals per step."""
     pop = HerdingPopulation.random(
         h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
     )
     diagnostics.update(switch_count=0, n_agents=h.n_agents)
     noisy = h.ed_noise_std > 0.0
 
-    def excess_demand(state: MarketState, normal) -> float:
+    def excess_demand(k: int, log_price: float, normal) -> float:
         nonlocal pop
         ed = population_excess_demand(pop)
         ed_env = ed + h.ed_noise_std * normal() if noisy else ed
-        new_pop = herding_step(pop, ed_env, state.dt)
+        new_pop = herding_step(pop, ed_env, dt)
         diagnostics["switch_count"] += switch_count(pop, new_pop)
         pop = new_pop
         return ed
@@ -284,31 +283,30 @@ def _cross_demand(h: HerdingConfig, rng: np.random.Generator, diagnostics: dict)
 def run_simulation(config: RunConfig) -> SimOutput:
     """Run one seeded simulation and return its trajectory and returns.
 
-    The model gives a demand supplier ``excess_demand(state, normal) -> ed``,
-    built once per run, which may keep state between steps and take standard
-    normals from ``normal()``.  Each step asks it for the aggregated excess
-    demand, then draws eta and applies the price rule.
+    The model gives a demand supplier ``excess_demand(k, log_price, normal)
+    -> ed``, built once per run, which may keep state between steps and take
+    standard normals from ``normal()``.  Each step k asks it for the
+    aggregated excess demand at log price S_k, then draws eta and applies
+    the price rule.
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
     log_prices = np.empty(config.steps + 1)
-    state = MarketState(config.initial_log_price, step_index=0, dt=config.dt)
-    log_prices[0] = state.log_price
+    s = log_prices[0] = config.initial_log_price
     if config.model == FW_TWO_AGENT:
         excess_demand, draws = _fw_demand(config.fw, config.initial_log_price)
     else:
-        excess_demand, draws = _cross_demand(config.herding, rng, diagnostics)
+        excess_demand, draws = _cross_demand(config.herding, config.dt, rng, diagnostics)
     # the supplier's draws and eta of every step
     normal = _normals(rng, (draws + 1) * config.steps)
-    rule = config.price_rule
+    dt, rule = config.dt, config.price_rule
     try:
         for k in range(config.steps):
-            ed = excess_demand(state, normal)
-            eta = normal()
-            state = price_step(state, ed, rule, eta)
-            log_prices[k + 1] = state.log_price
+            ed = excess_demand(k, s, normal)
+            s = log_prices[k + 1] = price_step(s, ed, dt, rule, normal())
     except NumericalBlowup as exc:
-        exc.args = (f"{exc} (seed {config.seed})",)
+        exc.step_index = k
+        exc.args = (f"{exc} at step {k} (seed {config.seed})",)
         raise
     returns = ReturnSeries(np.diff(log_prices[config.burn_in:]), kind=RAW)
     return SimOutput(

@@ -155,7 +155,7 @@ def autocorrelation(series, lag: int) -> float:
     if lag < 1:
         raise LagTooLarge(f"lag must be >= 1, got {lag}")
     if n - lag < 2:
-        raise LagTooLarge(f"lag {lag} leaves {n - lag} overlapping points")
+        raise LagTooLarge(f"lag {lag} needs at least {lag + 2} points, got {n}")
     mean = x.mean()
     d = x - mean
     denom = float(np.dot(d, d))

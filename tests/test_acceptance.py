@@ -28,7 +28,7 @@ from marketfacts import (
 )
 from marketfacts.agents import chartist_demand, fundamentalist_demand
 from marketfacts.cli import main as cli_main
-from marketfacts.market import MarketState, PriceRule, price_step
+from marketfacts.market import PriceRule, price_step
 
 
 @contextlib.contextmanager
@@ -255,20 +255,20 @@ def test_criterion_7_dynamics_sanity(capsys):
     with reported(capsys, "criterion 7: fundamentalist convergence and chartist divergence"):
         a, gamma, dt, pf = 1.0, 0.5, 1.0, 2.0  # a*gamma*dt < 2
         rule = PriceRule(gamma=gamma)
-        state = MarketState(log_price=0.0, dt=dt)
+        s = 0.0
         for _ in range(10_000):
-            ed = fundamentalist_demand(a, pf, state.log_price)
-            state = price_step(state, ed, rule, eta=0.0)
-        assert abs(state.log_price - pf) < 1e-8
+            ed = fundamentalist_demand(a, pf, s)
+            s = price_step(s, ed, dt, rule, eta=0.0)
+        assert abs(s - pf) < 1e-8
 
         b, gamma, dt = 2.1, 0.5, 1.0
         c = b * gamma * dt  # per-step displacement growth factor
         rule = PriceRule(gamma=gamma)
-        state = MarketState(log_price=0.1, dt=dt)
+        s = 0.1
         prev = 0.0
         for _ in range(100):
-            ed = chartist_demand(b, state.log_price, prev)
-            prev = state.log_price
-            state = price_step(state, ed, rule, eta=0.0)
-        growth = (state.log_price - prev) / 0.1
+            ed = chartist_demand(b, s, prev)
+            prev = s
+            s = price_step(s, ed, dt, rule, eta=0.0)
+        growth = (s - prev) / 0.1
         assert abs(growth / c ** 100 - 1.0) < 1e-6

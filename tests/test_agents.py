@@ -7,7 +7,7 @@ from marketfacts.agents import (
     franke_westerhoff_ED,
     fundamentalist_demand,
 )
-from marketfacts.market import MarketState, PriceRule, price_step
+from marketfacts.market import PriceRule, price_step
 
 
 class TestFundamentalistDemand:
@@ -85,22 +85,22 @@ class TestClosedLoops:
         # ED = ed_F, linear drift, zero noise, a*gamma*dt < 2
         a, gamma, dt, pf = 1.0, 0.5, 1.0, 2.0
         rule = PriceRule(gamma=gamma)
-        state = MarketState(log_price=0.0, dt=dt)
+        s = 0.0
         for _ in range(10_000):
-            ed = fundamentalist_demand(a, pf, state.log_price)
-            state = price_step(state, ed, rule, eta=0.0)
-        assert abs(state.log_price - pf) < 1e-8
+            ed = fundamentalist_demand(a, pf, s)
+            s = price_step(s, ed, dt, rule, eta=0.0)
+        assert abs(s - pf) < 1e-8
 
     def test_fundamentalist_loop_damped_oscillation(self):
         # 1 < a*gamma*dt < 2: alternating but shrinking error
         a, gamma, dt, pf = 1.5, 1.0, 1.0, 1.0
         rule = PriceRule(gamma=gamma)
-        state = MarketState(log_price=0.0, dt=dt)
+        s = 0.0
         errors = []
         for _ in range(50):
-            ed = fundamentalist_demand(a, pf, state.log_price)
-            state = price_step(state, ed, rule, eta=0.0)
-            errors.append(state.log_price - pf)
+            ed = fundamentalist_demand(a, pf, s)
+            s = price_step(s, ed, dt, rule, eta=0.0)
+            errors.append(s - pf)
         assert abs(errors[-1]) < abs(errors[0])
         assert errors[0] * errors[1] < 0  # sign alternates
 
@@ -111,11 +111,11 @@ class TestClosedLoops:
         b, gamma, dt = 2.1, 0.5, 1.0
         c = b * gamma * dt  # 1.05, keeps 100 steps inside the blowup guard
         rule = PriceRule(gamma=gamma)
-        state = MarketState(log_price=0.1, dt=dt)
+        s = 0.1
         prev = 0.0  # initial displacement 0.1
         for _ in range(100):
-            ed = chartist_demand(b, state.log_price, prev)
-            prev = state.log_price
-            state = price_step(state, ed, rule, eta=0.0)
-        growth = (state.log_price - prev) / 0.1
+            ed = chartist_demand(b, s, prev)
+            prev = s
+            s = price_step(s, ed, dt, rule, eta=0.0)
+        growth = (s - prev) / 0.1
         assert growth == pytest.approx(c**100, rel=1e-6)

@@ -1,0 +1,28 @@
+"""The benchmark's traced run still finds the per-step calls it counts.
+
+``bench/run.py --trace 1`` wraps ``sim.herding_step`` and ``sim.price_step``
+and checks one call per herding step and per simulated step; a refactor that
+renames or bypasses them fails here, not only in a traced benchmark run.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the benchmark refuses hosts with fewer than 2 CPUs")
+@pytest.mark.parametrize("workload", ["simulation", "analyze_csv"])
+def test_traced_smoke_run_is_clean(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "5", "--seconds", "0.5", "--trace", "1", "--smoke"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"failed": 0' in proc.stdout

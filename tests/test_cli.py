@@ -246,6 +246,8 @@ class TestAnalyze:
     (["ensemble", "--replications", "0"], "--replications"),
     (["ensemble", "--replications", "-1"], "--replications"),
     (["analyze", "--lags", "10,10,5"], "--lags"),
+    (["figures", "--bins", "100001"], "--bins"),
+    (["figures", "--bins", "100000000"], "--bins"),
 ])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     src = tmp_path / "gauss.csv"

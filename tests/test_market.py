@@ -1,33 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from marketfacts.errors import NoAgents, NumericalBlowup
-from marketfacts.market import (
-    MarketState,
-    PriceRule,
-    aggregate_excess_demand,
-    price_step,
-)
-
-
-class TestAggregateExcessDemand:
-    def test_cancellation(self):
-        assert aggregate_excess_demand([1.0, -1.0]) == 0.0
-
-    def test_singleton(self):
-        assert aggregate_excess_demand([2.0]) == 2.0
-
-    def test_empty(self):
-        with pytest.raises(NoAgents):
-            aggregate_excess_demand([])
-
-    def test_against_summation_oracle(self):
-        rng = np.random.default_rng(0)
-        demands = rng.normal(size=10_000)
-        expected = math.fsum(demands) / len(demands)
-        assert aggregate_excess_demand(demands) == pytest.approx(expected, rel=1e-12)
+from marketfacts.errors import NumericalBlowup
+from marketfacts.market import PriceRule, price_step
 
 
 class TestPriceRule:
@@ -42,41 +17,36 @@ class TestPriceRule:
 
     def test_builtin_forms(self):
         rule = PriceRule(gamma=2.0, noise="constant", sigma0=3.0)
-        assert rule.drift(0.0, 1.5, 0.25) == 2.0 * 0.25 * 1.5
-        assert rule.noise_amplitude(0.0, 1.5, 0.25) == 3.0 * 0.5
+        assert rule.drift(1.5, 0.25) == 2.0 * 0.25 * 1.5
+        assert rule.noise_amplitude(1.5, 0.25) == 3.0 * 0.5
         prop = PriceRule(noise="proportional", delta=2.0)
-        assert prop.noise_amplitude(0.0, -1.5, 4.0) == 2.0 * 2.0 * 1.5
+        assert prop.noise_amplitude(-1.5, 4.0) == 2.0 * 2.0 * 1.5
 
 
 class TestPriceStep:
     def test_null_dynamics(self):
-        state = MarketState(log_price=1.5, dt=1.0)
         rule = PriceRule()  # gamma = sigma0 = 0
-        nxt = price_step(state, 3.0, rule, eta=2.0)
-        assert nxt.log_price == 1.5
-        assert nxt.step_index == 1
+        nxt = price_step(1.5, 3.0, 1.0, rule, eta=2.0)
+        assert nxt == 1.5
+        assert type(nxt) is float
 
     def test_linear_drift(self):
-        state = MarketState(log_price=0.0, dt=1.0)
         rule = PriceRule(gamma=1.0)
-        assert price_step(state, 1.0, rule, eta=0.0).log_price == 1.0
+        assert price_step(0.0, 1.0, 1.0, rule, eta=0.0) == 1.0
 
     def test_identity_on_zero_ed_zero_noise(self):
-        state = MarketState(log_price=-0.7, dt=0.5)
         rule = PriceRule(gamma=5.0, noise="proportional", delta=2.0)
-        assert price_step(state, 0.0, rule, eta=1.0).log_price == -0.7
+        assert price_step(-0.7, 0.0, 0.5, rule, eta=1.0) == -0.7
 
     def test_pure_noise_increments_are_standard_normal(self):
         rng = np.random.default_rng(1)
         rule = PriceRule(gamma=0.0, noise="constant", sigma0=1.0)
-        state = MarketState(log_price=0.0, dt=1.0)
         etas = rng.standard_normal(100_000)
         increments = np.empty_like(etas)
         for i, eta in enumerate(etas):
-            nxt = price_step(state, 0.0, rule, eta)
-            increments[i] = nxt.log_price - state.log_price
+            # every step starts from 0.0 to bound the walk
+            increments[i] = price_step(0.0, 0.0, 1.0, rule, eta)
             assert increments[i] == eta  # dt = 1, sigma0 = 1: exact
-            state = MarketState(log_price=0.0, dt=1.0)  # reset to bound the walk
         assert abs(increments.mean()) < 0.02
         assert abs(increments.var() - 1.0) < 0.02
 
@@ -85,22 +55,23 @@ class TestPriceStep:
         ed_seq = np.random.default_rng(2).normal(size=200)
 
         def trajectory():
-            state = MarketState(log_price=0.3, dt=0.1)
-            out = [state.log_price]
+            s = 0.3
+            out = [s]
             for ed in ed_seq:
-                state = price_step(state, ed, rule, eta=0.0)
-                out.append(state.log_price)
+                s = price_step(s, ed, 0.1, rule, eta=0.0)
+                out.append(s)
             return out
 
         assert trajectory() == trajectory()
 
     def test_blowup_guard(self):
-        state = MarketState(log_price=699.0, step_index=41, dt=1.0)
         rule = PriceRule(gamma=1.0)
         with pytest.raises(NumericalBlowup) as exc_info:
-            price_step(state, 10.0, rule, eta=0.0)
-        assert exc_info.value.step_index == 41
+            price_step(699.0, 10.0, 1.0, rule, eta=0.0)
+        # the caller that knows the step index adds it
+        assert str(exc_info.value) == "log price 709.0 out of range"
+        assert exc_info.value.step_index is None
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            MarketState(log_price=0.0, dt=0.0)
+        with pytest.raises(ValueError, match="dt must be > 0, got 0.0"):
+            price_step(0.0, 0.0, 0.0, PriceRule(), 0.0)

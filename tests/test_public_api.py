@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "excess_kurtosis", "fit_power_decay", "full_report", "hill_estimator",
     "histogram_data", "mean_var", "qq_data", "skewness",
     # market
-    "MarketState", "PriceRule", "aggregate_excess_demand", "price_step",
+    "PriceRule", "price_step",
     # agents
     "FWParams", "chartist_demand", "franke_westerhoff_ED", "fundamentalist_demand",
     # environment

@@ -8,9 +8,9 @@ import pytest
 
 from marketfacts.agents import FWParams
 from marketfacts.cli import main
-from marketfacts.errors import ConfigError
+from marketfacts.errors import ConfigError, NumericalBlowup
 from marketfacts.environment import HerdingPopulation, herding_step
-from marketfacts.market import MarketState, PriceRule
+from marketfacts.market import PriceRule, price_step
 from marketfacts.sim import (
     CROSS_HERDING,
     FW_TWO_AGENT,
@@ -182,7 +182,8 @@ BAD_API_VALUES = {
                       "every b value must be >= 0"),
     "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ValueError,
                            "every log_fundamental value must be finite"),
-    "state.dt": (lambda: MarketState(0.0, dt=NAN), ValueError, "dt must be > 0"),
+    "state.dt": (lambda: price_step(0.0, 1.0, NAN, PriceRule(), 0.0), ValueError,
+                 "dt must be > 0"),
     "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
                         ValueError, "dt must be > 0"),
     "population.pressure": (lambda: HerdingPopulation([1.0], [NAN], [1.0]), ValueError,
@@ -238,6 +239,22 @@ class TestRunSimulation:
         out = run_simulation(cross_herding_defaults(seed=2, steps=500))
         assert out.diagnostics["switch_count"] > 0
         assert out.diagnostics["n_agents"] == 1000
+
+    def test_blowup_names_step_and_seed(self, tmp_path, capsys):
+        # chartists alone: each price move grows by 0.5 * b * gamma * dt = 1.5
+        doc = {"model": FW_TWO_AGENT, "steps": 500, "dt": 1.0, "seed": 3,
+               "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 0.01},
+               "fw": {"a": 0.0, "b": 3.0}}
+        message = "log price 775.563501138344 out of range at step 31 (seed 3)"
+        with pytest.raises(NumericalBlowup) as e:
+            run_simulation(config_from_dict(doc))
+        assert e.value.step_index == 31
+        assert str(e.value) == message
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"NumericalBlowup: {message}\n"
+        assert not out.exists()
 
 
 class TestRunEnsemble:

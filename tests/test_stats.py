@@ -223,6 +223,10 @@ class TestAutocorrelation:
         with pytest.raises(LagTooLarge):
             autocorrelation(np.arange(10.0), 0)
 
+    def test_lag_too_large_message_names_sizes(self):
+        with pytest.raises(LagTooLarge, match=r"^lag 100 needs at least 102 points, got 29$"):
+            autocorrelation(np.arange(29.0), 100)
+
     def test_against_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
