@@ -51,5 +51,5 @@ out = run_simulation(config)
 lp = out.log_prices
 print(f"simulated {config.steps} steps; "
       f"log price range [{lp.min():.3f}, {lp.max():.3f}], "
-      f"return std {out.returns.values.std():.5f}")
+      f"return std {out.returns.std():.5f}")
 print("diagnostics:", out.diagnostics)

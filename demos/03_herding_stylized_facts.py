@@ -36,7 +36,7 @@ for lag in (1, 5, 10, 20, 50, 100):
     print(f"{lag:4d} {autocorrelation(raw, lag):>10.5f} "
           f"{autocorrelation(abs_r, lag):>10.5f}")
 
-fit = fit_power_decay(acf_profile(abs_r.values, 100))
+fit = fit_power_decay(range(1, 101), acf_profile(abs_r, 100))
 print()
 print(f"absolute-return ACF decays like lag^-{fit.exponent:.3f} "
       f"({fit.n_points} positive lags in fit)")

@@ -40,5 +40,5 @@ print(f"series: {len(series)} prices, "
 
 print()
 print("=== statistics of the windowed log returns ===")
-for name, value in full_report(log_returns(series)).as_dict().items():
+for name, value in full_report(log_returns(series)).items():
     print(f"{name:18s} {value:+.5f}")

@@ -2,7 +2,7 @@
 
 Submodules:
 
-* :mod:`marketfacts.timeseries` -- price/return types and log transforms
+* :mod:`marketfacts.timeseries` -- the price series type and return transforms
 * :mod:`marketfacts.stats` -- moments, Hill estimator, ACF, power-law fits
 * :mod:`marketfacts.market` -- the price update rule
 * :mod:`marketfacts.agents` -- fundamentalist/chartist demands
@@ -13,17 +13,8 @@ Submodules:
 * :mod:`marketfacts.cli` -- command-line front end
 """
 
-from .timeseries import (
-    ABSOLUTE,
-    RAW,
-    PriceSeries,
-    ReturnSeries,
-    absolute_returns,
-    log_returns,
-)
+from .timeseries import PriceSeries, absolute_returns, log_returns
 from .stats import (
-    AcfProfile,
-    StatsReport,
     TailFit,
     acf_profile,
     autocorrelation,

@@ -21,6 +21,9 @@ from .output import write_columns, write_json, write_table
 
 # upper bound of ``figures --bins``; each bin is one row of histogram.csv
 MAX_BINS = 100_000
+# a source's two return series: its log returns and their absolute values;
+# they name analyze's columns and ensemble's summary blocks
+KINDS = ("raw", "absolute")
 
 
 def _parse_lags(text: str):
@@ -141,7 +144,7 @@ def cmd_analyze(args) -> int:
     columns = {}  # column name -> {stat row -> value or error string}
     for entry in sources:
         price_column = entry.price_column or args.price_column
-        names = [f"{entry.label} ({kind})" for kind in (timeseries.RAW, timeseries.ABSOLUTE)]
+        names = [f"{entry.label} ({kind})" for kind in KINDS]
         try:
             prices = ingest.read_prices(entry.path, price_column, entry.from_date, entry.to_date)
             raw = timeseries.log_returns(prices)
@@ -151,19 +154,15 @@ def cmd_analyze(args) -> int:
             continue
         for name, returns in zip(names, series):
             try:
-                report = stats.full_report(
+                columns[name] = stats.full_report(
                     returns, lags=args.lags, tail_fraction=args.tail_fraction
                 )
-                columns[name] = report.as_dict()
             except MarketFactsError as exc:
                 columns[name] = {"error": _describe(exc)}
 
-    row_names = ["Skew", "Excess Kurtosis", f"Hill {args.tail_fraction:g}"]
-    row_names += [f"AutoCorr {lag}" for lag in args.lags]
-
     col_names = list(columns)
     rows = [["Statistic"] + col_names]
-    for stat_name in row_names:
+    for stat_name in stats.report_rows(args.lags, args.tail_fraction):
         row = [stat_name]
         for col in col_names:
             cell = columns[col].get(stat_name, columns[col].get("error", ""))
@@ -191,15 +190,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config = _load_config(args)
+    # every check before the first run, so a bad argument writes no file
+    sim.check_ensemble(config, args.replications, args.workers)
+    for lag in args.lags:
+        stats.check_lag(lag, config.steps - config.burn_in)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
-    per_rep = {timeseries.RAW: [], timeseries.ABSOLUTE: []}
+    per_rep = {kind: [] for kind in KINDS}
     for r, output in enumerate(outputs):
         sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
         raw = output.returns
-        per_rep[timeseries.RAW].append(stats.full_report(raw, lags=args.lags).as_dict())
-        per_rep[timeseries.ABSOLUTE].append(
-            stats.full_report(timeseries.absolute_returns(raw), lags=args.lags).as_dict()
-        )
+        for kind, returns in zip(KINDS, (raw, timeseries.absolute_returns(raw))):
+            per_rep[kind].append(stats.full_report(returns, lags=args.lags))
 
     summary = {"replications": args.replications, "base_seed": config.seed}
     for kind, reports in per_rep.items():
@@ -233,7 +234,12 @@ def cmd_figures(args) -> int:
         raw = sim.run_simulation(_load_config(args)).returns
     absolute = timeseries.absolute_returns(raw)
 
-    edges, counts, centers, density = stats.histogram_data(raw.values, args.bins)
+    # every figure is computed before the first file is written, so a
+    # failure leaves no partial set behind
+    edges, counts, centers, density = stats.histogram_data(raw, args.bins)
+    qq = stats.qq_data(raw)
+    acfs = {name: stats.acf_profile(series, args.max_lag)
+            for name, series in (("acf_raw.csv", raw), ("acf_abs.csv", absolute))}
     write_columns(
         os.path.join(args.out_dir, "histogram.csv"),
         ("bin_left", "bin_right", "bin_center", "count", "gaussian_density"),
@@ -242,15 +248,11 @@ def cmd_figures(args) -> int:
     write_columns(
         os.path.join(args.out_dir, "qq.csv"),
         ("theoretical_quantile", "empirical_quantile"),
-        *stats.qq_data(raw.values),
+        *qq,
     )
-    for name, series in (("acf_raw.csv", raw), ("acf_abs.csv", absolute)):
-        profile = stats.acf_profile(series.values, args.max_lag)
-        write_columns(
-            os.path.join(args.out_dir, name),
-            ("lag", "autocorrelation"),
-            profile.lags, profile.values,
-        )
+    lags = range(1, args.max_lag + 1)
+    for name, values in acfs.items():
+        write_columns(os.path.join(args.out_dir, name), ("lag", "autocorrelation"), lags, values)
     return 0
 
 

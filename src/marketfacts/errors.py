@@ -13,10 +13,6 @@ class InvalidPrice(MarketFactsError):
     """A price series contains non-positive, non-finite or misaligned entries."""
 
 
-class InvalidKind(MarketFactsError):
-    """A return series of the wrong kind (raw vs absolute) was supplied."""
-
-
 class DegenerateSample(MarketFactsError):
     """The sample has zero variance (or degenerate range) where spread is required."""
 

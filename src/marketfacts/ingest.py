@@ -184,8 +184,14 @@ class ManifestEntry:
     price_column: str | None = None
 
 
+_MANIFEST_KEYS = {"label", "path", "from", "to", "price_column"}
+
+
 def load_manifest(path) -> list[ManifestEntry]:
-    """Read a JSON manifest: a list of {label, path, from, to, price_column}."""
+    """Read a JSON manifest: a list of {label, path, from, to, price_column}.
+
+    Any other key is a :class:`SchemaError`, so a misspelt ``from`` never
+    silently widens the window."""
     with _open(path) as fh:
         try:
             doc = json.load(fh)
@@ -197,6 +203,9 @@ def load_manifest(path) -> list[ManifestEntry]:
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or "label" not in item or "path" not in item:
             raise SchemaError(f"{path}: entry {i} needs 'label' and 'path'")
+        unknown = sorted(item.keys() - _MANIFEST_KEYS)
+        if unknown:
+            raise SchemaError(f"{path}: entry {i}: unknown key(s) {unknown}")
         entries.append(
             ManifestEntry(
                 label=str(item["label"]),

@@ -51,7 +51,6 @@ from .environment import (
 from .errors import ConfigError, NumericalBlowup
 from .market import PriceRule, price_step
 from .output import write_columns, write_json
-from .timeseries import RAW, ReturnSeries
 
 FW_TWO_AGENT = "fw_two_agent"
 CROSS_HERDING = "cross_herding"
@@ -134,7 +133,7 @@ class SimOutput:
     """Trajectory, post-burn-in returns and per-run diagnostics."""
 
     log_prices: np.ndarray
-    returns: ReturnSeries
+    returns: np.ndarray  # read-only
     diagnostics: dict
     seed: int
 
@@ -308,7 +307,8 @@ def run_simulation(config: RunConfig) -> SimOutput:
         exc.step_index = k
         exc.args = (f"{exc} at step {k} (seed {config.seed})",)
         raise
-    returns = ReturnSeries(np.diff(log_prices[config.burn_in:]), kind=RAW)
+    returns = np.diff(log_prices[config.burn_in:])
+    returns.setflags(write=False)
     return SimOutput(
         log_prices=log_prices,
         returns=returns,
@@ -322,12 +322,8 @@ def _run_replication(args) -> SimOutput:
     return run_simulation(replace(config, seed=config.seed + r))
 
 
-def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list[SimOutput]:
-    """Independent replications with seeds base_seed + r, r = 0..R-1.
-
-    Results come back in replication order regardless of completion order,
-    so parallel and sequential execution are interchangeable.
-    """
+def check_ensemble(config: RunConfig, replications: int, workers: int) -> None:
+    """Raise :class:`ConfigError` for an ensemble that cannot start."""
     if replications < 1:
         raise ConfigError("replications must be >= 1", field="replications")
     last_seed = config.seed + replications - 1
@@ -336,6 +332,15 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
                           "which is not a 64-bit unsigned integer", field="seed")
     if workers < 1:
         raise ConfigError("workers must be >= 1", field="workers")
+
+
+def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list[SimOutput]:
+    """Independent replications with seeds base_seed + r, r = 0..R-1.
+
+    Results come back in replication order regardless of completion order,
+    so parallel and sequential execution are interchangeable.
+    """
+    check_ensemble(config, replications, workers)
     jobs = [(config, r) for r in range(replications)]
     # a worker beyond one per replication would only start and sit idle
     workers = min(workers, replications)
@@ -354,6 +359,6 @@ def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:
     write_columns(logprices, ("step", "log_price"),
                   range(len(output.log_prices)), output.log_prices)
     write_columns(returns, ("index", "log_return"),
-                  range(len(output.returns)), output.returns.values)
+                  range(len(output.returns)), output.returns)
     write_json(diagnostics, {**output.diagnostics, "seed": output.seed})
     return paths

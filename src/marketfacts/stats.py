@@ -27,45 +27,9 @@ from .errors import (
     LagTooLarge,
     MarketFactsError,
 )
-from .timeseries import ReturnSeries
 
 DEFAULT_LAGS = (10, 20, 50, 100)
 DEFAULT_TAIL_FRACTION = 0.05
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    """One table column: scalar statistics of a single return series."""
-
-    skew: float
-    excess_kurtosis: float
-    hill: float
-    acf_at_lags: dict
-    tail_fraction: float = DEFAULT_TAIL_FRACTION
-
-    def as_dict(self) -> dict:
-        d = {
-            "Skew": self.skew,
-            "Excess Kurtosis": self.excess_kurtosis,
-            f"Hill {self.tail_fraction:g}": self.hill,
-        }
-        for lag in sorted(self.acf_at_lags):
-            d[f"AutoCorr {lag}"] = self.acf_at_lags[lag]
-        return d
-
-
-@dataclass(frozen=True)
-class AcfProfile:
-    """Autocorrelation values at lags 1..L."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lags", np.asarray(self.lags, dtype=int))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if np.any(np.diff(self.lags) <= 0):
-            raise ValueError("lags must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -77,15 +41,9 @@ class TailFit:
     n_points: int
 
 
-def _sample(x) -> np.ndarray:
-    if isinstance(x, ReturnSeries):
-        x = x.values
-    return np.asarray(x, dtype=float)
-
-
 def mean_var(sample) -> tuple[float, float]:
     """Population mean and variance, (1/n) normalization."""
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     n = x.size
     if n < 2:
         raise InsufficientData(f"need n >= 2 for mean/variance, got {n}")
@@ -96,7 +54,7 @@ def mean_var(sample) -> tuple[float, float]:
 
 def skewness(sample) -> float:
     """Standardized third central moment, m3 / sigma^3."""
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     if x.size < 3:
         raise InsufficientData(f"need n >= 3 for skewness, got {x.size}")
     mean, var = mean_var(x)
@@ -108,7 +66,7 @@ def skewness(sample) -> float:
 
 def excess_kurtosis(sample) -> float:
     """Standardized fourth central moment minus 3; zero for a Gaussian."""
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     if x.size < 4:
         raise InsufficientData(f"need n >= 4 for kurtosis, got {x.size}")
     mean, var = mean_var(x)
@@ -132,7 +90,7 @@ def hill_estimator(sample, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> floa
     """
     if not 0.0 < tail_fraction < 1.0:  # false for NaN too
         raise InsufficientTail(f"tail fraction {tail_fraction} is not in (0, 1)")
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     pos = x[x > 0.0]
     m = pos.size
     k = int(math.floor(tail_fraction * m))
@@ -148,14 +106,19 @@ def hill_estimator(sample, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> floa
     return 1.0 / s
 
 
-def autocorrelation(series, lag: int) -> float:
-    """Sample autocorrelation C(l) with full-sample mean and denominator."""
-    x = _sample(series)
-    n = x.size
+def check_lag(lag: int, n: int) -> None:
+    """Raise :class:`LagTooLarge` unless ``lag`` >= 1 leaves at least two
+    overlapping points in a sample of ``n``."""
     if lag < 1:
         raise LagTooLarge(f"lag must be >= 1, got {lag}")
     if n - lag < 2:
         raise LagTooLarge(f"lag {lag} needs at least {lag + 2} points, got {n}")
+
+
+def autocorrelation(series, lag: int) -> float:
+    """Sample autocorrelation C(l) with full-sample mean and denominator."""
+    x = np.asarray(series, dtype=float)
+    check_lag(lag, x.size)
     mean = x.mean()
     d = x - mean
     denom = float(np.dot(d, d))
@@ -165,29 +128,24 @@ def autocorrelation(series, lag: int) -> float:
     return num / denom
 
 
-def acf_profile(series, max_lag: int) -> AcfProfile:
-    """Autocorrelation at every lag 1..max_lag."""
-    x = _sample(series)
-    lags = np.arange(1, max_lag + 1)
-    values = np.array([autocorrelation(x, int(l)) for l in lags])
-    return AcfProfile(lags=lags, values=values)
+def acf_profile(series, max_lag: int) -> np.ndarray:
+    """Autocorrelation at every lag 1..max_lag, in lag order."""
+    x = np.asarray(series, dtype=float)
+    return np.array([autocorrelation(x, lag) for lag in range(1, max_lag + 1)])
 
 
-def fit_power_decay(profile_or_points) -> TailFit:
-    """Least-squares fit of ln(value) against ln(abscissa).
+def fit_power_decay(x, values) -> TailFit:
+    """Least-squares fit of ln(value) against ln(x) over two equal-length
+    1-D arrays, such as ``np.arange(1, L + 1)`` and ``acf_profile(r, L)``.
 
-    Accepts an :class:`AcfProfile` or an iterable of (x, value) pairs.
-    Only pairs with value > 0 (and x > 0) enter the fit; the decay
-    exponent is the negated slope.
+    Only pairs with value > 0 and x > 0 enter the fit; the decay exponent
+    is the negated slope.
     """
-    if isinstance(profile_or_points, AcfProfile):
-        xs = profile_or_points.lags.astype(float)
-        ys = profile_or_points.values
-    else:
-        pts = np.asarray(list(profile_or_points), dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("expected an AcfProfile or (x, value) pairs")
-        xs, ys = pts[:, 0], pts[:, 1]
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(values, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"x and values must be 1-D arrays of equal length, "
+                         f"got shapes {xs.shape} and {ys.shape}")
     keep = (xs > 0.0) & (ys > 0.0)
     if int(keep.sum()) < 5:
         raise InsufficientPositivePoints(
@@ -211,7 +169,7 @@ def histogram_data(sample, bin_count: int = 200):
     Normal(mean, var) pdf evaluated at the bin centers, with population
     moments from :func:`mean_var`.
     """
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     if x.size < 2:
         raise InsufficientData(f"need n >= 2 for a histogram, got {x.size}")
     if bin_count < 1:
@@ -289,7 +247,7 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     mean + sigma * Phi^{-1}((i - 0.5)/n) for i = 1..n (Hazen plotting
     positions), and the sorted sample.
     """
-    x = _sample(sample)
+    x = np.asarray(sample, dtype=float)
     n = x.size
     if n < 2:
         raise InsufficientData(f"need n >= 2 for a qq plot, got {n}")
@@ -300,17 +258,25 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     return mean + math.sqrt(var) * ppf, np.sort(x)
 
 
+def report_rows(lags, tail_fraction: float) -> list[str]:
+    """The row labels of a :func:`full_report` column, autocorrelations in
+    ``lags`` order."""
+    return ["Skew", "Excess Kurtosis", f"Hill {tail_fraction:g}",
+            *(f"AutoCorr {lag}" for lag in lags)]
+
+
 def full_report(
-    returns: ReturnSeries,
+    returns,
     lags=DEFAULT_LAGS,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
-) -> StatsReport:
-    """Skew, excess kurtosis, Hill and autocorrelations of one return series.
+) -> dict:
+    """Skew, excess kurtosis, Hill and autocorrelations of one return series,
+    keyed by :func:`report_rows`.
 
     A member statistic's error is re-raised as the same object, with the
     failing statistic named at the start of its message.
     """
-    x = returns.values
+    x = np.asarray(returns, dtype=float)
 
     def _try(name, fn):
         try:
@@ -319,13 +285,12 @@ def full_report(
             exc.args = (f"{name}: {exc}",)
             raise
 
-    acf = {}
-    for lag in lags:
-        acf[int(lag)] = _try(f"autocorrelation(lag={lag})", lambda l=lag: autocorrelation(x, int(l)))
-    return StatsReport(
-        skew=_try("skewness", lambda: skewness(x)),
-        excess_kurtosis=_try("excess_kurtosis", lambda: excess_kurtosis(x)),
-        hill=_try("hill_estimator", lambda: hill_estimator(x, tail_fraction)),
-        acf_at_lags=acf,
-        tail_fraction=tail_fraction,
-    )
+    acf = [_try(f"autocorrelation(lag={lag})", lambda l=lag: autocorrelation(x, int(l)))
+           for lag in lags]
+    values = [
+        _try("skewness", lambda: skewness(x)),
+        _try("excess_kurtosis", lambda: excess_kurtosis(x)),
+        _try("hill_estimator", lambda: hill_estimator(x, tail_fraction)),
+        *acf,
+    ]
+    return dict(zip(report_rows(lags, tail_fraction), values))

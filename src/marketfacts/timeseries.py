@@ -1,4 +1,4 @@
-"""Core time-series types: dated price records and log-return sequences."""
+"""Dated price records and the log returns derived from them."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidKind, InvalidPrice
-
-RAW = "raw"
-ABSOLUTE = "absolute"
+from .errors import InsufficientData, InvalidPrice
 
 
 def _readonly(values) -> np.ndarray:
@@ -53,30 +50,10 @@ class PriceSeries:
         return len(self.prices)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """A plain sequence of log returns, without dates.
-
-    All downstream statistics are index-based, so date alignment stays with
-    :class:`PriceSeries` only.
-    """
-
-    values: np.ndarray
-    kind: str = RAW
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.kind not in (RAW, ABSOLUTE):
-            raise InvalidKind(f"kind must be {RAW!r} or {ABSOLUTE!r}, got {self.kind!r}")
-        if self.kind == ABSOLUTE and self.values.size and np.any(self.values < 0.0):
-            raise InvalidKind("absolute return series contains negative values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """Log returns r_k = ln(p_{k+1}) - ln(p_k) of a price series."""
+def log_returns(prices: PriceSeries) -> np.ndarray:
+    """Log returns r_k = ln(p_{k+1}) - ln(p_k) of a price series, as a
+    read-only float array without dates: every statistic is index-based,
+    so date alignment stays with :class:`PriceSeries`."""
     if len(prices) < 2:
         raise InsufficientData(
             f"need at least 2 prices for returns, got {len(prices)}"
@@ -85,11 +62,12 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
     # log1p of the relative change keeps full relative precision even when
     # consecutive prices are nearly equal (plain log differences do not)
     values = np.log1p(np.diff(p) / p[:-1])
-    return ReturnSeries(values, kind=RAW)
+    values.setflags(write=False)
+    return values
 
 
-def absolute_returns(returns: ReturnSeries) -> ReturnSeries:
-    """Elementwise absolute value of a raw return series."""
-    if returns.kind != RAW:
-        raise InvalidKind("absolute_returns expects a raw return series")
-    return ReturnSeries(np.abs(returns.values), kind=ABSOLUTE)
+def absolute_returns(returns) -> np.ndarray:
+    """Elementwise absolute value of a return array, read-only."""
+    values = np.abs(np.asarray(returns, dtype=float))
+    values.setflags(write=False)
+    return values

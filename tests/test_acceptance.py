@@ -13,9 +13,6 @@ import pytest
 from scipy.signal import lfilter
 
 from marketfacts import (
-    ABSOLUTE,
-    RAW,
-    ReturnSeries,
     absolute_returns,
     acf_profile,
     autocorrelation,
@@ -45,8 +42,8 @@ def reported(capsys, name):
             print(f"\n[{status}] {name}", flush=True)
 
 
-def series(values, kind=RAW):
-    return ReturnSeries(np.asarray(values, dtype=float), kind=kind)
+def series(values):
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -63,13 +60,12 @@ def test_criterion_1_estimator_exactness(capsys):
 
         grid = series(
             [math.exp(3), math.exp(2), math.exp(1), 1.0]
-            + list(np.linspace(0.01, 0.99, 56)),
-            kind=ABSOLUTE,
+            + list(np.linspace(0.01, 0.99, 56))
         )
         assert hill_estimator(grid, 0.05) == pytest.approx(0.5, abs=1e-12)
 
         lags = np.arange(1, 51)
-        fit = fit_power_decay(zip(lags, lags ** -0.5))
+        fit = fit_power_decay(lags, lags ** -0.5)
         assert fit.exponent == pytest.approx(0.5, abs=1e-10)
 
         assert time.perf_counter() - start < 1.0
@@ -126,7 +122,7 @@ def test_criterion_2_oracle_consistency(capsys):
             assert close(excess_kurtosis(s), kurt_o)
             pos = np.abs(x) + 1e-9
             assert close(
-                hill_estimator(series(pos, kind=ABSOLUTE), 0.1),
+                hill_estimator(series(pos), 0.1),
                 hill_oracle(list(pos), 0.1),
             )
         assert time.perf_counter() - start < 10.0
@@ -142,14 +138,14 @@ def test_criterion_3_statistical_calibration(capsys):
         for mu in (2.0, 2.5, 3.0):
             u = rng.uniform(size=100_000)
             pareto = u ** (-1.0 / mu)  # inverse CDF of P(X > x) = x^-mu
-            est = hill_estimator(series(pareto, kind=ABSOLUTE), 0.05)
+            est = hill_estimator(series(pareto), 0.05)
             assert abs(est - mu) / mu < 0.05
 
         n = 1_000_000
         gauss = series(rng.standard_normal(n))
         assert abs(excess_kurtosis(gauss)) < 0.05
-        profile = acf_profile(gauss.values, 100)
-        assert np.all(np.abs(profile.values) < 3.0 / math.sqrt(n))
+        profile = acf_profile(gauss, 100)
+        assert np.all(np.abs(profile) < 3.0 / math.sqrt(n))
 
         eps = rng.standard_normal(n)
         ar1 = series(lfilter([1.0], [1.0, -0.8], eps))
@@ -202,8 +198,8 @@ def test_criterion_5_stylized_fact_emergence(capsys):
         assert raw_in_band >= 15
         assert abs_clustered >= 15
 
-        profile = acf_profile(absolute_returns(outputs[0].returns).values, 100)
-        fit = fit_power_decay(profile)
+        profile = acf_profile(absolute_returns(outputs[0].returns), 100)
+        fit = fit_power_decay(np.arange(1, 101), profile)
         assert fit.exponent > 0
 
         assert time.perf_counter() - start < 300.0

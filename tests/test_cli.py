@@ -126,6 +126,20 @@ class TestAnalyze:
             assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
             assert "Traceback" not in err
 
+    def test_unknown_manifest_key_rejected(self, tmp_path, capsys):
+        src = tmp_path / "gauss.csv"
+        write_price_csv(src, n=500)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"label": "ok", "path": str(src)},
+            {"label": "typo", "path": str(src), "form": "2000-06-01"},
+        ]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"SchemaError: {manifest}: entry 1: unknown key(s) ['form']\n"
+        assert not out.exists()
+
     def test_duplicate_labels_rejected(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -317,6 +331,21 @@ class TestEnsemble:
         assert "Excess Kurtosis" in summary["raw"]
         assert set(summary["raw"]["Skew"]) == {"mean", "std"}
 
+    def test_lag_too_long_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("run_ensemble called")
+
+        monkeypatch.setattr(sim, "run_ensemble", not_called)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FW_CONFIG, "steps": 20}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--replications", "2",
+                     "--lags", "10,100", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        # 20 steps less the default burn-in of 2 leave 18 returns
+        assert err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
+        assert not out.exists()
+
     def test_pool_capped_at_replications(self, tmp_path, monkeypatch):
         opened = []
 
@@ -396,6 +425,15 @@ class TestFigures:
                      "--out-dir", str(out)]) == 2
         assert f"figures: {flag} not used with {source}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failure_writes_no_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FW_CONFIG, "steps": 20}))
+        out = tmp_path / "out"
+        assert main(["figures", "--config", str(cfg), "--max-lag", "100",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("LagTooLarge: ")
+        assert not out.exists() or not list(out.iterdir())
 
     def test_repeat_is_byte_identical(self, tmp_path):
         src = tmp_path / "gauss.csv"

@@ -7,9 +7,9 @@ import marketfacts
 
 PUBLIC_NAMES = {
     # timeseries
-    "ABSOLUTE", "RAW", "PriceSeries", "ReturnSeries", "absolute_returns", "log_returns",
+    "PriceSeries", "absolute_returns", "log_returns",
     # stats
-    "AcfProfile", "StatsReport", "TailFit", "acf_profile", "autocorrelation",
+    "TailFit", "acf_profile", "autocorrelation",
     "excess_kurtosis", "fit_power_decay", "full_report", "hill_estimator",
     "histogram_data", "mean_var", "qq_data", "skewness",
     # market

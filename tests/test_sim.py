@@ -214,7 +214,7 @@ class TestRunSimulation:
         )
         out = run_simulation(cfg)
         np.testing.assert_array_equal(out.log_prices, np.zeros(cfg.steps + 1))
-        np.testing.assert_array_equal(out.returns.values, np.zeros(cfg.steps - cfg.burn_in))
+        np.testing.assert_array_equal(out.returns, np.zeros(cfg.steps - cfg.burn_in))
 
     def test_determinism_bitwise(self):
         for cfg in (fw_config(), cross_herding_defaults(seed=3, steps=300)):
@@ -229,7 +229,7 @@ class TestRunSimulation:
         assert out.log_prices.shape == (401,)
         assert len(out.returns) == cfg.steps - cfg.burn_in
         rebuilt = np.exp(out.log_prices[cfg.burn_in]) * np.exp(
-            np.cumsum(out.returns.values)
+            np.cumsum(out.returns)
         )
         np.testing.assert_allclose(
             rebuilt, np.exp(out.log_prices[cfg.burn_in + 1 :]), rtol=1e-9
@@ -269,7 +269,7 @@ class TestRunEnsemble:
         cfg = fw_config(seed=100)
         outs = run_ensemble(cfg, 3)
         assert [o.seed for o in outs] == [100, 101, 102]
-        r0, r1 = outs[0].returns.values[:100], outs[1].returns.values[:100]
+        r0, r1 = outs[0].returns[:100], outs[1].returns[:100]
         assert not np.array_equal(r0, r1)
 
     def test_parallel_matches_sequential(self):
@@ -321,7 +321,7 @@ class TestWriteSimOutput:
         (path_lp, path_ret, path_diag) = write_sim_output(out, tmp_path, "sim")
         rows = open(path_ret).read().strip().splitlines()[1:]
         values = np.array([float(r.split(",")[1]) for r in rows])
-        np.testing.assert_array_equal(values, out.returns.values)
+        np.testing.assert_array_equal(values, out.returns)
         diag = json.load(open(path_diag))
         assert diag["seed"] == out.seed
 

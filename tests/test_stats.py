@@ -17,7 +17,6 @@ from marketfacts.errors import (
     NumericalBlowup,
 )
 from marketfacts.stats import (
-    AcfProfile,
     acf_profile,
     autocorrelation,
     excess_kurtosis,
@@ -30,7 +29,6 @@ from marketfacts.stats import (
     qq_data,
     skewness,
 )
-from marketfacts.timeseries import RAW, ReturnSeries
 
 
 # ---------------------------------------------------------------- oracles
@@ -227,6 +225,16 @@ class TestAutocorrelation:
         with pytest.raises(LagTooLarge, match=r"^lag 100 needs at least 102 points, got 29$"):
             autocorrelation(np.arange(29.0), 100)
 
+    def test_check_lag_is_the_autocorrelation_check(self):
+        stats.check_lag(8, 10)  # two overlapping points: enough
+        for lag, message in ((9, "lag 9 needs at least 11 points, got 10"),
+                             (0, "lag must be >= 1, got 0")):
+            with pytest.raises(LagTooLarge) as direct:
+                stats.check_lag(lag, 10)
+            with pytest.raises(LagTooLarge) as via_acf:
+                autocorrelation(np.arange(10.0), lag)
+            assert str(direct.value) == str(via_acf.value) == message
+
     def test_against_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -242,7 +250,7 @@ class TestAcfProfile:
         n = 100_000
         x = np.random.default_rng(13).standard_normal(n)
         profile = acf_profile(x, 100)
-        assert np.all(np.abs(profile.values) < 3.0 / math.sqrt(n))
+        assert np.all(np.abs(profile) < 3.0 / math.sqrt(n))
 
     def test_ar1_analytic_acf(self):
         phi, n = 0.8, 1_000_000
@@ -253,7 +261,7 @@ class TestAcfProfile:
         for t in range(1, n):
             x[t] = phi * x[t - 1] + eps[t]
         profile = acf_profile(x, 20)
-        for lag, value in zip(profile.lags, profile.values):
+        for lag, value in enumerate(profile, start=1):
             assert value == pytest.approx(phi**lag, abs=0.01)
 
     def test_constant_series(self):
@@ -261,8 +269,10 @@ class TestAcfProfile:
             acf_profile(np.full(100, 2.0), 10)
 
     def test_lags_strictly_increasing(self):
-        profile = acf_profile(np.random.default_rng(15).normal(size=500), 30)
-        assert np.all(np.diff(profile.lags) > 0)
+        x = np.random.default_rng(15).normal(size=500)
+        profile = acf_profile(x, 30)
+        assert profile.shape == (30,)
+        assert [autocorrelation(x, lag) for lag in range(1, 31)] == profile.tolist()
 
 
 # ------------------------------------------------------------- tail / fit
@@ -275,33 +285,41 @@ class TestFitPowerDecay:
         # complementary CDF #{x > r} / n at each (distinct) sample value r
         ccdf = (n - 1 - np.arange(n)) / n
         decile = (sample >= np.quantile(sample, 0.9)) & (ccdf > 0)
-        fit = fit_power_decay(zip(sample[decile], ccdf[decile]))
+        fit = fit_power_decay(sample[decile], ccdf[decile])
         assert fit.exponent == pytest.approx(mu, abs=0.2)
 
     def test_exact_power_law(self):
         lags = np.arange(1, 51)
-        profile = AcfProfile(lags=lags, values=lags**-0.5)
-        fit = fit_power_decay(profile)
+        fit = fit_power_decay(lags, lags**-0.5)
         assert fit.exponent == pytest.approx(0.5, abs=1e-10)
         assert fit.fit_residual < 1e-10
 
     def test_scale_invariance_of_slope(self):
         lags = np.arange(1, 51)
         for c in (0.001, 7.5):
-            fit = fit_power_decay(AcfProfile(lags=lags, values=c * lags**-1.2))
+            fit = fit_power_decay(lags, c * lags**-1.2)
             assert fit.exponent == pytest.approx(1.2, abs=1e-10)
 
     def test_negative_values_excluded(self):
         lags = np.arange(1, 21)
         values = lags**-0.7
         values[::3] = -0.01  # dips below zero must not poison the fit
-        fit = fit_power_decay(AcfProfile(lags=lags, values=values))
+        fit = fit_power_decay(lags, values)
         assert fit.n_points == int((values > 0).sum())
         assert fit.exponent == pytest.approx(0.7, abs=1e-10)
 
     def test_too_few_positive_points(self):
         with pytest.raises(InsufficientPositivePoints):
-            fit_power_decay(AcfProfile(lags=np.arange(1, 6), values=-np.ones(5)))
+            fit_power_decay(np.arange(1, 6), -np.ones(5))
+
+    @pytest.mark.parametrize("x, values", [
+        (np.arange(1, 6), np.ones(4)),
+        (np.arange(1, 6), np.ones((5, 1))),
+        (np.ones((5, 2)), np.ones((5, 2))),
+    ], ids=["lengths", "column", "two_d"])
+    def test_rejects_arrays_that_do_not_pair_up(self, x, values):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            fit_power_decay(x, values)
 
 
 # -------------------------------------------------------------- figures
@@ -380,26 +398,33 @@ class TwoArgumentError(MarketFactsError):
 
 class TestFullReport:
     def test_deterministic(self):
-        r = ReturnSeries(np.random.default_rng(20).standard_normal(5000), kind=RAW)
+        r = np.random.default_rng(20).standard_normal(5000)
         a = full_report(r)
         b = full_report(r)
         assert a == b
 
     def test_report_shape(self):
-        r = ReturnSeries(np.random.default_rng(21).standard_t(4, 10_000), kind=RAW)
-        rep = full_report(r)
-        assert sorted(rep.acf_at_lags) == [10, 20, 50, 100]
-        assert all(-1.0 <= v <= 1.0 for v in rep.acf_at_lags.values())
-        d = rep.as_dict()
+        r = np.random.default_rng(21).standard_t(4, 10_000)
+        d = full_report(r)
+        assert all(-1.0 <= d[f"AutoCorr {lag}"] <= 1.0 for lag in (10, 20, 50, 100))
         assert set(d) == {
             "Skew", "Excess Kurtosis", "Hill 0.05",
             "AutoCorr 10", "AutoCorr 20", "AutoCorr 50", "AutoCorr 100",
         }
 
+    def test_keys_are_report_rows_in_lag_order(self):
+        r = np.random.default_rng(23).standard_normal(500)
+        d = full_report(r, lags=(50, 3), tail_fraction=0.1)
+        assert list(d) == stats.report_rows((50, 3), 0.1) == [
+            "Skew", "Excess Kurtosis", "Hill 0.1", "AutoCorr 50", "AutoCorr 3",
+        ]
+        assert d["AutoCorr 3"] == autocorrelation(r, 3)
+        assert d["Hill 0.1"] == hill_estimator(r, 0.1)
+
     def test_failing_statistic_is_named(self):
-        r = ReturnSeries(np.zeros(5000), kind=RAW)
+        r = np.zeros(5000)
         with pytest.raises(LagTooLarge, match="autocorrelation"):
-            full_report(ReturnSeries(np.arange(20.0), kind=RAW))
+            full_report(np.arange(20.0))
         with pytest.raises(DegenerateSample, match="autocorrelation|skewness"):
             full_report(r)
 
@@ -414,7 +439,7 @@ class TestFullReport:
             raise error
 
         monkeypatch.setattr(stats, "skewness", failing)
-        sample = ReturnSeries(np.random.default_rng(22).standard_normal(500), kind=RAW)
+        sample = np.random.default_rng(22).standard_normal(500)
         with pytest.raises(type(error)) as e:
             full_report(sample)
         # the same object, so attributes such as field and step_index survive

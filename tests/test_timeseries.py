@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketfacts.errors import InsufficientData, InvalidKind, InvalidPrice
-from marketfacts.timeseries import (
-    ABSOLUTE,
-    RAW,
-    PriceSeries,
-    ReturnSeries,
-    absolute_returns,
-    log_returns,
-)
+from marketfacts.errors import InsufficientData, InvalidPrice
+from marketfacts.sim import config_from_dict, run_simulation
+from marketfacts.timeseries import PriceSeries, absolute_returns, log_returns
 
 
 def make_series(prices, start=dt.date(2010, 1, 1)):
@@ -62,13 +56,12 @@ class TestPriceSeries:
 class TestLogReturns:
     def test_constant_series(self):
         r = log_returns(make_series([100.0, 100.0, 100.0]))
-        assert r.kind == RAW
-        np.testing.assert_array_equal(r.values, [0.0, 0.0])
+        np.testing.assert_array_equal(r, [0.0, 0.0])
 
     def test_exact_logs(self):
         e = math.e
         r = log_returns(make_series([1.0, e, e * e]))
-        np.testing.assert_allclose(r.values, [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(r, [1.0, 1.0], atol=1e-15)
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
@@ -78,7 +71,7 @@ class TestLogReturns:
         # 1000 uniform prices in (50, 150), checked against 50-digit logs
         rng = np.random.default_rng(42)
         prices = rng.uniform(50.0, 150.0, size=1000)
-        got = log_returns(make_series(prices)).values
+        got = log_returns(make_series(prices))
         with mpmath.workdps(50):
             expected = [
                 float(mpmath.log(mpmath.mpf(float(b))) - mpmath.log(mpmath.mpf(float(a))))
@@ -89,48 +82,48 @@ class TestLogReturns:
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         prices = rng.uniform(10.0, 20.0, size=50)
-        base = log_returns(make_series(prices)).values
+        base = log_returns(make_series(prices))
         for scale in (0.001, 3.0, 1e6):
-            scaled = log_returns(make_series(scale * prices)).values
+            scaled = log_returns(make_series(scale * prices))
             np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_price_reconstruction(self):
         rng = np.random.default_rng(11)
         prices = rng.uniform(50.0, 150.0, size=200)
-        r = log_returns(make_series(prices)).values
+        r = log_returns(make_series(prices))
         rebuilt = prices[0] * np.exp(np.cumsum(r))
         np.testing.assert_allclose(rebuilt, prices[1:], rtol=1e-9)
 
 
 class TestAbsoluteReturns:
     def test_definition(self):
-        r = ReturnSeries([-1.0, 2.0, 0.0], kind=RAW)
-        a = absolute_returns(r)
-        assert a.kind == ABSOLUTE
-        np.testing.assert_array_equal(a.values, [1.0, 2.0, 0.0])
+        a = absolute_returns(np.array([-1.0, 2.0, 0.0]))
+        np.testing.assert_array_equal(a, [1.0, 2.0, 0.0])
 
     def test_empty_passthrough(self):
-        a = absolute_returns(ReturnSeries([], kind=RAW))
+        a = absolute_returns([])
         assert len(a) == 0
-
-    def test_rejects_absolute_input(self):
-        a = ReturnSeries([1.0, 2.0], kind=ABSOLUTE)
-        with pytest.raises(InvalidKind):
-            absolute_returns(a)
-
-    def test_absolute_kind_rejects_negative_values(self):
-        with pytest.raises(InvalidKind):
-            ReturnSeries([-0.5], kind=ABSOLUTE)
 
     @given(st.lists(st.floats(-1e6, 1e6), max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_matches_elementwise_loop(self, values):
-        a = absolute_returns(ReturnSeries(values, kind=RAW))
-        assert list(a.values) == [abs(v) for v in values]
+        a = absolute_returns(values)
+        assert list(a) == [abs(v) for v in values]
 
     def test_idempotent_via_raw_copy(self):
         rng = np.random.default_rng(3)
-        r = ReturnSeries(rng.normal(size=100), kind=RAW)
+        r = rng.normal(size=100)
         once = absolute_returns(r)
-        twice = absolute_returns(ReturnSeries(once.values, kind=RAW))
-        np.testing.assert_array_equal(once.values, twice.values)
+        twice = absolute_returns(once)
+        np.testing.assert_array_equal(once, twice)
+
+
+def test_returns_are_readonly_float_arrays():
+    fw = {"model": "fw_two_agent", "steps": 50, "fw": {"a": 1.0, "b": 0.5}}
+    raw = log_returns(make_series([100.0, 101.0, 99.5]))
+    for values in (raw, absolute_returns(raw), absolute_returns([-1, 2]),
+                   run_simulation(config_from_dict(fw)).returns):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
