@@ -195,12 +195,14 @@ def cmd_ensemble(args) -> int:
     for lag in args.lags:
         stats.check_lag(lag, config.steps - config.burn_in)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
+    # every report before the first file, so a failing statistic writes none
     per_rep = {kind: [] for kind in KINDS}
-    for r, output in enumerate(outputs):
-        sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
+    for output in outputs:
         raw = output.returns
         for kind, returns in zip(KINDS, (raw, timeseries.absolute_returns(raw))):
             per_rep[kind].append(stats.full_report(returns, lags=args.lags))
+    for r, output in enumerate(outputs):
+        sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
 
     summary = {"replications": args.replications, "base_seed": config.seed}
     for kind, reports in per_rep.items():

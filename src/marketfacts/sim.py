@@ -23,6 +23,7 @@ many ensemble workers run in parallel.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -231,6 +232,16 @@ def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:
     )
 
 
+@contextlib.contextmanager
+def _allocating(field: str, size: int):
+    """Turn numpy's refusal to allocate an array of ``size`` items (too big to
+    address, or out of memory) into a ConfigError naming ``field``."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{size} is too large to allocate: {exc}", field=field) from exc
+
+
 def _normals(rng: np.random.Generator, count: int):
     """Callable returning the next of ``count`` standard normals of ``rng``,
     which it draws in blocks of NORMAL_BLOCK as they are needed."""
@@ -261,9 +272,10 @@ def _cross_demand(h: HerdingConfig, dt: float, rng: np.random.Generator, diagnos
     """Cross herding supplier: the mean position of a threshold-herding
     population, which then takes one herding step of size ``dt``; counts
     flips in ``diagnostics``.  Returns it and its normals per step."""
-    pop = HerdingPopulation.random(
-        h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
-    )
+    with _allocating("herding.n_agents", h.n_agents):
+        pop = HerdingPopulation.random(
+            h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
+        )
     diagnostics.update(switch_count=0, n_agents=h.n_agents)
     noisy = h.ed_noise_std > 0.0
 
@@ -290,7 +302,8 @@ def run_simulation(config: RunConfig) -> SimOutput:
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
-    log_prices = np.empty(config.steps + 1)
+    with _allocating("steps", config.steps):
+        log_prices = np.empty(config.steps + 1)
     s = log_prices[0] = config.initial_log_price
     if config.model == FW_TWO_AGENT:
         excess_demand, draws = _fw_demand(config.fw, config.initial_log_price)

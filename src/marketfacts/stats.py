@@ -52,28 +52,25 @@ def mean_var(sample) -> tuple[float, float]:
     return mean, var
 
 
-def skewness(sample) -> float:
-    """Standardized third central moment, m3 / sigma^3."""
+def _standardized_moment(sample, order: int, name: str) -> float:
+    """m_order / sigma^order with population moments; errors name ``name``."""
     x = np.asarray(sample, dtype=float)
-    if x.size < 3:
-        raise InsufficientData(f"need n >= 3 for skewness, got {x.size}")
+    if x.size < order:
+        raise InsufficientData(f"need n >= {order} for {name}, got {x.size}")
     mean, var = mean_var(x)
     if var == 0.0:
-        raise DegenerateSample("zero variance: skewness undefined")
-    m3 = float(np.mean((x - mean) ** 3))
-    return m3 / var**1.5
+        raise DegenerateSample(f"zero variance: {name} undefined")
+    return float(np.mean((x - mean) ** order)) / var ** (order / 2)
+
+
+def skewness(sample) -> float:
+    """Standardized third central moment, m3 / sigma^3."""
+    return _standardized_moment(sample, 3, "skewness")
 
 
 def excess_kurtosis(sample) -> float:
     """Standardized fourth central moment minus 3; zero for a Gaussian."""
-    x = np.asarray(sample, dtype=float)
-    if x.size < 4:
-        raise InsufficientData(f"need n >= 4 for kurtosis, got {x.size}")
-    mean, var = mean_var(x)
-    if var == 0.0:
-        raise DegenerateSample("zero variance: kurtosis undefined")
-    m4 = float(np.mean((x - mean) ** 4))
-    return m4 / var**2 - 3.0
+    return _standardized_moment(sample, 4, "kurtosis") - 3.0
 
 
 def hill_estimator(sample, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
@@ -115,23 +112,26 @@ def check_lag(lag: int, n: int) -> None:
         raise LagTooLarge(f"lag {lag} needs at least {lag + 2} points, got {n}")
 
 
-def autocorrelation(series, lag: int) -> float:
-    """Sample autocorrelation C(l) with full-sample mean and denominator."""
+def _acf(series, lags) -> list[float]:
+    """C(l) for each l in ``lags`` from one deviation pass; checks the largest lag first."""
     x = np.asarray(series, dtype=float)
-    check_lag(lag, x.size)
-    mean = x.mean()
-    d = x - mean
+    for lag in sorted(lags, reverse=True):
+        check_lag(lag, x.size)
+    d = x - x.mean()
     denom = float(np.dot(d, d))
     if denom == 0.0:
         raise DegenerateSample("zero variance: autocorrelation undefined")
-    num = float(np.dot(d[lag:], d[:-lag]))
-    return num / denom
+    return [float(np.dot(d[lag:], d[:-lag])) / denom for lag in lags]
+
+
+def autocorrelation(series, lag: int) -> float:
+    """Sample autocorrelation C(l) with full-sample mean and denominator."""
+    return _acf(series, [lag])[0]
 
 
 def acf_profile(series, max_lag: int) -> np.ndarray:
     """Autocorrelation at every lag 1..max_lag, in lag order."""
-    x = np.asarray(series, dtype=float)
-    return np.array([autocorrelation(x, lag) for lag in range(1, max_lag + 1)])
+    return np.array(_acf(series, range(1, max_lag + 1)) if max_lag >= 1 else [])
 
 
 def fit_power_decay(x, values) -> TailFit:
@@ -177,6 +177,9 @@ def histogram_data(sample, bin_count: int = 200):
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         raise DegenerateSample("degenerate range: min == max")
+    # the edges np.histogram builds; a range too narrow repeats some of them
+    if np.any(np.diff(np.linspace(lo, hi, bin_count + 1)) <= 0.0):
+        raise DegenerateSample(f"range [{lo!r}, {hi!r}] cannot hold {bin_count} finite bins")
     counts, edges = np.histogram(x, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     mean, var = mean_var(x)

@@ -61,7 +61,14 @@ def log_returns(prices: PriceSeries) -> np.ndarray:
     p = prices.prices
     # log1p of the relative change keeps full relative precision even when
     # consecutive prices are nearly equal (plain log differences do not)
-    values = np.log1p(np.diff(p) / p[:-1])
+    with np.errstate(over="ignore", divide="ignore"):
+        values = np.log1p(np.diff(p) / p[:-1])
+    # a price ratio past the float range gives +-inf; statistics need finite returns
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidPrice(f"log return from {prices.dates[k]} to {prices.dates[k + 1]} "
+                           f"is not finite ({values[k]})")
     values.setflags(write=False)
     return values
 

@@ -25,6 +25,14 @@ def write_price_csv(path, n=5000, seed=0, vol=0.01):
     return prices
 
 
+def write_overflowing_prices(path):
+    """Finite, positive prices whose second ratio is past the float range."""
+    with open(path, "w") as fh:
+        fh.write("Date,Open\n")
+        for k, p in enumerate(["1.0", "1e308", "5e-324", "1.0", "2.0", "3.0"]):
+            fh.write(f"{dt.date(2000, 1, 1) + dt.timedelta(days=k)},{p}\n")
+
+
 def write_config(path, **overrides):
     cfg = config_to_dict(cross_herding_defaults(seed=7, steps=2000))
     cfg.update(overrides)
@@ -232,6 +240,18 @@ class TestAnalyze:
         error = {"error": "InsufficientData: need at least 2 prices for returns, got 1"}
         assert doc["single (raw)"] == doc["single (absolute)"] == error
 
+    def test_non_finite_return_fails_only_its_columns(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_price_csv(good, n=200)
+        write_overflowing_prices(bad)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(good), "--input", str(bad),
+                     "--lags", "2", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "table.json").read_text())
+        message = "InvalidPrice: log return from 2000-01-02 to 2000-01-03 is not finite (-inf)"
+        assert doc["bad (raw)"] == doc["bad (absolute)"] == {"error": message}
+        assert "Skew" in doc["good (raw)"]
+
     def test_requires_some_input(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
 
@@ -313,6 +333,21 @@ class TestSimulate:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"steps": 2**62}, "steps"),
+        ({"steps": 20, "herding": {"n_agents": 2**62}}, "herding.n_agents"),
+    ])
+    def test_size_too_large_to_allocate(self, tmp_path, capsys, overrides, field):
+        # numpy refuses 2**62 float64s before it allocates anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "cross_herding", **overrides}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"ConfigError: {field}: {2**62} is too large to allocate: ")
+        assert not out.exists()
+
+
 class TestEnsemble:
     def test_summary_and_parallel_identity(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", steps=1000)
@@ -345,6 +380,21 @@ class TestEnsemble:
         # 20 steps less the default burn-in of 2 leave 18 returns
         assert err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
         assert not out.exists()
+
+    def test_failing_statistic_writes_no_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({  # a constant price: every return is 0
+            **FW_CONFIG, "steps": 200,
+            "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 0.0},
+            "fw": {"a": 0.0, "b": 0.0, "noise_std": 0.0},
+        }))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--replications", "2",
+                     "--lags", "10", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "DegenerateSample: autocorrelation(lag=10): zero variance: "
+            "autocorrelation undefined\n")
+        assert not out.exists() or not list(out.iterdir())
 
     def test_pool_capped_at_replications(self, tmp_path, monkeypatch):
         opened = []
@@ -434,6 +484,24 @@ class TestFigures:
                      "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("LagTooLarge: ")
         assert not out.exists() or not list(out.iterdir())
+
+    def test_too_long_max_lag_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FW_CONFIG, "steps": 20}))
+        assert main(["figures", "--config", str(cfg), "--max-lag", "100",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        # 20 steps less the default burn-in of 2 leave 18 returns
+        assert capsys.readouterr().err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
+
+    def test_non_finite_return_writes_no_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        write_overflowing_prices(src)
+        out = tmp_path / "out"
+        assert main(["figures", "--input", str(src), "--max-lag", "2",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "InvalidPrice: log return from 2000-01-02 to 2000-01-03 is not finite (-inf)\n")
+        assert not out.exists()
 
     def test_repeat_is_byte_identical(self, tmp_path):
         src = tmp_path / "gauss.csv"

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketfacts import stats
 from marketfacts.errors import (
@@ -274,6 +276,98 @@ class TestAcfProfile:
         assert profile.shape == (30,)
         assert [autocorrelation(x, lag) for lag in range(1, 31)] == profile.tolist()
 
+    def test_names_the_largest_lag(self):
+        with pytest.raises(LagTooLarge, match=r"^lag 100 needs at least 102 points, got 18$"):
+            acf_profile(np.arange(18.0), 100)
+
+    @pytest.mark.parametrize("x", [np.arange(18.0), np.ones(5), np.array([])])
+    def test_no_lags(self, x):
+        profile = acf_profile(x, 0)
+        assert profile.shape == (0,) and profile.dtype == np.float64
+
+
+# The formulas as each statistic had its own body: the shared kernels must
+# give the same bits and the same errors.
+
+def old_autocorrelation(series, lag):
+    x = np.asarray(series, dtype=float)
+    stats.check_lag(lag, x.size)
+    mean = x.mean()
+    d = x - mean
+    denom = float(np.dot(d, d))
+    if denom == 0.0:
+        raise DegenerateSample("zero variance: autocorrelation undefined")
+    num = float(np.dot(d[lag:], d[:-lag]))
+    return num / denom
+
+
+def old_acf_profile(series, max_lag):
+    x = np.asarray(series, dtype=float)
+    return np.array([old_autocorrelation(x, lag) for lag in range(1, max_lag + 1)])
+
+
+def old_skewness(sample):
+    x = np.asarray(sample, dtype=float)
+    if x.size < 3:
+        raise InsufficientData(f"need n >= 3 for skewness, got {x.size}")
+    mean, var = mean_var(x)
+    if var == 0.0:
+        raise DegenerateSample("zero variance: skewness undefined")
+    m3 = float(np.mean((x - mean) ** 3))
+    return m3 / var**1.5
+
+
+def old_excess_kurtosis(sample):
+    x = np.asarray(sample, dtype=float)
+    if x.size < 4:
+        raise InsufficientData(f"need n >= 4 for kurtosis, got {x.size}")
+    mean, var = mean_var(x)
+    if var == 0.0:
+        raise DegenerateSample("zero variance: kurtosis undefined")
+    m4 = float(np.mean((x - mean) ** 4))
+    return m4 / var**2 - 3.0
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its result's type, shape and bytes, or its
+    error's type and message."""
+    with np.errstate(all="ignore"):  # overflow gives inf/NaN on both sides alike
+        try:
+            value = fn(*args)
+        except Exception as exc:
+            return "raises", type(exc), str(exc)
+    arr = np.asarray(value)
+    return type(value), arr.dtype, arr.shape, arr.tobytes()
+
+
+def assert_same(new, old):
+    assert new == old
+    if new[0] != "raises":  # float equality too, NaN matching NaN
+        np.testing.assert_array_equal(np.frombuffer(new[3]), np.frombuffer(old[3]))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+samples = st.one_of(
+    st.lists(finite, max_size=40),
+    st.lists(st.floats(-10.0, 10.0), max_size=40),
+    st.builds(lambda value, n: [value] * n, finite, st.integers(0, 40)),  # constant
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(samples, st.lists(st.integers(-2, 45), max_size=6), st.integers(0, 45))
+def test_shared_kernels_match_the_separate_formulas(x, lags, max_lag):
+    x = np.array(x, dtype=float)
+    for lag in lags:
+        assert_same(outcome(autocorrelation, x, lag), outcome(old_autocorrelation, x, lag))
+    assert_same(outcome(skewness, x), outcome(old_skewness, x))
+    assert_same(outcome(excess_kurtosis, x), outcome(old_excess_kurtosis, x))
+    expected = outcome(old_acf_profile, x, max_lag)
+    if max_lag >= 1 and x.size - max_lag < 2:  # too long: the largest lag is named
+        expected = ("raises", LagTooLarge,
+                    f"lag {max_lag} needs at least {max_lag + 2} points, got {x.size}")
+    assert_same(outcome(acf_profile, x, max_lag), expected)
+
 
 # ------------------------------------------------------------- tail / fit
 
@@ -337,6 +431,13 @@ class TestHistogramData:
     def test_degenerate_range(self):
         with pytest.raises(DegenerateSample):
             histogram_data([1.0, 1.0, 1.0], 5)
+
+    def test_range_too_narrow_for_the_bins(self):
+        x = [1.0, 1.0 + 2**-52] * 10
+        with pytest.raises(DegenerateSample, match=r"cannot hold 200 finite bins$"):
+            histogram_data(x, 200)
+        _, counts, _, _ = histogram_data(x, 1)
+        np.testing.assert_array_equal(counts, [20])
 
     def test_gaussian_fit_matches_empirical_frequencies(self):
         x = np.random.default_rng(19).standard_normal(1_000_000)

@@ -67,6 +67,15 @@ class TestLogReturns:
         with pytest.raises(InsufficientData):
             log_returns(make_series([100.0]))
 
+    @pytest.mark.parametrize("prices, pair, value", [
+        ([1.0, 1e308, 5e-324], "2010-01-02 to 2010-01-03", "-inf"),
+        ([5e-324, 1e308, 1.0], "2010-01-01 to 2010-01-02", "inf"),
+    ])
+    def test_non_finite_return_names_first_date_pair(self, prices, pair, value):
+        message = f"^log return from {pair} is not finite \\({value}\\)$"
+        with pytest.raises(InvalidPrice, match=message):
+            log_returns(make_series(prices))
+
     def test_against_high_precision_oracle(self):
         # 1000 uniform prices in (50, 150), checked against 50-digit logs
         rng = np.random.default_rng(42)
