@@ -95,7 +95,7 @@ def read_prices_report(
             raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows_in = rows_used = rows_skipped = rows_out = 0
+    rows_in = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
     records = []
     try:
@@ -110,7 +110,6 @@ def read_prices_report(
             except ValueError:
                 raise SchemaError(f"{path}: column {column!r} not in header {header}") from None
         date_idx, price_idx = indices
-        last_idx = max(indices)
 
         next_line = reader.line_num + 1
         for row in reader:
@@ -119,20 +118,12 @@ def read_prices_report(
             if not any(map(str.strip, row)):
                 continue
             rows_in += 1
-            if last_idx >= len(row):
-                rows_skipped += 1
-                continue
-            try:
+            try:  # IndexError: the row is too short for one of the columns
                 date = _parse_date(row[date_idx])
-            except ValueError:
-                rows_skipped += 1
-                continue
-            try:
                 price = float(row[price_idx])
-            except ValueError:
-                rows_skipped += 1
-                continue
-            if not 0.0 < price < math.inf:
+                if not 0.0 < price < math.inf:
+                    raise ValueError(price)
+            except (IndexError, ValueError):
                 rows_skipped += 1
                 continue
             if date in seen:
@@ -145,7 +136,6 @@ def read_prices_report(
             ):
                 rows_out += 1
                 continue
-            rows_used += 1
             records.append((date, price))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -161,7 +151,7 @@ def read_prices_report(
     )
     report = IngestReport(
         rows_in=rows_in,
-        rows_used=rows_used,
+        rows_used=len(records),
         rows_skipped=rows_skipped,
         rows_out_of_window=rows_out,
     )

@@ -31,8 +31,10 @@ class PriceRule:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma >= 0.0 and self.sigma0 >= 0.0 and self.delta >= 0.0):
-            raise ValueError("gamma, sigma0 and delta must be >= 0")
+        for name in ("gamma", "sigma0", "delta"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # also true for NaN
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.noise not in (CONSTANT, PROPORTIONAL):
             raise ValueError(f"unknown noise spec {self.noise!r}")
 

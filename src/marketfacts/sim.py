@@ -12,10 +12,10 @@ single stream in this fixed order:
   drawn).  The FW supplier draws its additive noise and the cross supplier
   its ED perturbation, each only when its std is > 0.
 
-Standard normals come from the stream in blocks of ``NORMAL_BLOCK`` (the
-last one smaller), drawn as the run needs them.  A block holds exactly the
-values, in exactly the order, that as many single draws would give, so the
-outputs are those of drawing one at a time.
+Standard normals come from the stream in blocks of ``NORMAL_BLOCK``, drawn
+as the run needs them.  A block holds exactly the values, in exactly the
+order, that as many single draws would give, so the outputs are those of
+drawing one at a time.
 
 Given (config, seed) every output bit is determined, independent of how
 many ensemble workers run in parallel.
@@ -139,12 +139,6 @@ class SimOutput:
     seed: int
 
 
-def _json_fields(cls) -> list:
-    """(field, type) of each field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
-    return [(f, hints[f.name]) for f in dataclasses.fields(cls)]
-
-
 def _finite(value, path: str) -> float:
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     # the bound is false for NaN and, unlike float(), safe for huge ints
@@ -175,15 +169,15 @@ def _from_dict(cls, doc, path: str = ""):
     """Build config dataclass ``cls`` from JSON object ``doc`` at dotted ``path``."""
     if not isinstance(doc, dict):
         raise ConfigError("must be a JSON object", field=path or None)
-    fields = _json_fields(cls)
-    unknown = set(doc) - {f.name for f, _ in fields}
+    fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
+    unknown = set(doc) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)}", field=path or None)
     kwargs = {}
-    for f, hint in fields:
+    for f in fields:
         key = f"{path}.{f.name}" if path else f.name
         if f.name in doc:
-            kwargs[f.name] = _from_json(hint, doc[f.name], key)
+            kwargs[f.name] = _from_json(hints[f.name], doc[f.name], key)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError("required", field=key)
     try:
@@ -195,15 +189,6 @@ def _from_dict(cls, doc, path: str = ""):
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a plain (JSON-decoded) dictionary."""
     return _from_dict(RunConfig, d)
-
-
-def config_to_dict(config) -> dict:
-    """The JSON form of a config dataclass, which config_from_dict reads back."""
-    d = {}
-    for f, hint in _json_fields(type(config)):
-        value = getattr(config, f.name)
-        d[f.name] = config_to_dict(value) if dataclasses.is_dataclass(hint) else value
-    return d
 
 
 def load_config(path) -> RunConfig:
@@ -242,17 +227,16 @@ def _allocating(field: str, size: int):
         raise ConfigError(f"{size} is too large to allocate: {exc}", field=field) from exc
 
 
-def _normals(rng: np.random.Generator, count: int):
-    """Callable returning the next of ``count`` standard normals of ``rng``,
-    which it draws in blocks of NORMAL_BLOCK as they are needed."""
-    blocks = (rng.standard_normal(min(NORMAL_BLOCK, count - start)).tolist()
-              for start in range(0, count, NORMAL_BLOCK))
+def _normals(rng: np.random.Generator):
+    """Callable returning the next standard normal of ``rng``, which it draws
+    in blocks of NORMAL_BLOCK as they are needed."""
+    blocks = iter(lambda: rng.standard_normal(NORMAL_BLOCK).tolist(), None)
     return itertools.chain.from_iterable(blocks).__next__
 
 
 def _fw_demand(fw: FWParams, initial_log_price: float):
     """Franke-Westerhoff supplier: the mean of fundamentalist and chartist
-    demand plus additive noise.  Returns it and its normals per step."""
+    demand plus additive noise."""
     prev = initial_log_price  # no invented pre-history: initial chartist demand 0
     noisy = fw.noise_std > 0.0
 
@@ -265,13 +249,13 @@ def _fw_demand(fw: FWParams, initial_log_price: float):
         prev = log_price
         return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
 
-    return excess_demand, int(noisy)
+    return excess_demand
 
 
 def _cross_demand(h: HerdingConfig, dt: float, rng: np.random.Generator, diagnostics: dict):
     """Cross herding supplier: the mean position of a threshold-herding
     population, which then takes one herding step of size ``dt``; counts
-    flips in ``diagnostics``.  Returns it and its normals per step."""
+    flips in ``diagnostics``."""
     with _allocating("herding.n_agents", h.n_agents):
         pop = HerdingPopulation.random(
             h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
@@ -288,7 +272,7 @@ def _cross_demand(h: HerdingConfig, dt: float, rng: np.random.Generator, diagnos
         pop = new_pop
         return ed
 
-    return excess_demand, int(noisy)
+    return excess_demand
 
 
 def run_simulation(config: RunConfig) -> SimOutput:
@@ -306,11 +290,10 @@ def run_simulation(config: RunConfig) -> SimOutput:
         log_prices = np.empty(config.steps + 1)
     s = log_prices[0] = config.initial_log_price
     if config.model == FW_TWO_AGENT:
-        excess_demand, draws = _fw_demand(config.fw, config.initial_log_price)
+        excess_demand = _fw_demand(config.fw, config.initial_log_price)
     else:
-        excess_demand, draws = _cross_demand(config.herding, config.dt, rng, diagnostics)
-    # the supplier's draws and eta of every step
-    normal = _normals(rng, (draws + 1) * config.steps)
+        excess_demand = _cross_demand(config.herding, config.dt, rng, diagnostics)
+    normal = _normals(rng)
     dt, rule = config.dt, config.price_rule
     try:
         for k in range(config.steps):

@@ -60,7 +60,11 @@ def _standardized_moment(sample, order: int, name: str) -> float:
     mean, var = mean_var(x)
     if var == 0.0:
         raise DegenerateSample(f"zero variance: {name} undefined")
-    return float(np.mean((x - mean) ** order)) / var ** (order / 2)
+    scale = var ** (order / 2)
+    if scale == 0.0:
+        raise DegenerateSample(f"variance {var!r} underflows to 0 at power {order / 2}: "
+                               f"{name} undefined")
+    return float(np.mean((x - mean) ** order)) / scale
 
 
 def skewness(sample) -> float:

@@ -210,13 +210,12 @@ def test_criterion_5_stylized_fact_emergence(capsys):
 def test_criterion_6_determinism(capsys, tmp_path):
     with reported(capsys, "criterion 6: byte-identical reruns of simulate/ensemble/analyze"):
         start = time.perf_counter()
+        import dataclasses
         import json
-
-        from marketfacts.sim import config_to_dict
 
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
-            json.dumps(config_to_dict(cross_herding_defaults(seed=6, steps=2000)))
+            json.dumps(dataclasses.asdict(cross_herding_defaults(seed=6, steps=2000)))
         )
 
         def run(cmd, out):

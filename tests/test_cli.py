@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 
 from marketfacts import ingest, sim
 from marketfacts.cli import main
-from marketfacts.sim import config_to_dict, cross_herding_defaults
+from marketfacts.sim import cross_herding_defaults
 
 
 def write_price_csv(path, n=5000, seed=0, vol=0.01):
@@ -34,7 +35,7 @@ def write_overflowing_prices(path):
 
 
 def write_config(path, **overrides):
-    cfg = config_to_dict(cross_herding_defaults(seed=7, steps=2000))
+    cfg = dataclasses.asdict(cross_herding_defaults(seed=7, steps=2000))
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
@@ -394,6 +395,21 @@ class TestEnsemble:
         assert capsys.readouterr().err == (
             "DegenerateSample: autocorrelation(lag=10): zero variance: "
             "autocorrelation undefined\n")
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_underflowing_variance_writes_no_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({  # returns of about 1e-120: var ** 1.5 is 0.0
+            **FW_CONFIG, "steps": 200,
+            "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 1e-120},
+            "fw": {"a": 0.0, "b": 0.0, "noise_std": 0.0},
+        }))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--replications", "2",
+                     "--lags", "10", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("DegenerateSample: skewness: variance ")
+        assert err.endswith(" underflows to 0 at power 1.5: skewness undefined\n")
         assert not out.exists() or not list(out.iterdir())
 
     def test_pool_capped_at_replications(self, tmp_path, monkeypatch):

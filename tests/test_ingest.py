@@ -62,11 +62,22 @@ class TestReadPrices:
             "2010-01-05,n/a,102,99,101.0,1100\n",
             "not-a-date,100.0,102,99,101.0,1100\n",
             "2010-01-07,100.0,102,99,101.0,1100\n",
+            "2010-01-08\n",
         ])
         series, report = read_prices_report(path)
         assert len(series) == 1
-        assert report.rows_skipped == 3
-        assert report.rows_in == 4
+        assert report.rows_skipped == 4
+        assert report.rows_in == 5
+
+    def test_skips_row_too_short_for_a_last_date_column(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "100.0,2010-01-04\n",
+            "101.0\n",
+            "102.0,2010-01-06\n",
+        ], header="Open,Date\n")
+        series, report = read_prices_report(path)
+        assert series.prices.tolist() == [100.0, 102.0]
+        assert (report.rows_in, report.rows_used, report.rows_skipped) == (3, 2, 1)
 
     def test_row_accounting_invariant(self, tmp_path):
         path = write_csv(tmp_path, [

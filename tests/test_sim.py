@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,6 @@ from marketfacts.sim import (
     HerdingConfig,
     RunConfig,
     config_from_dict,
-    config_to_dict,
     cross_herding_defaults,
     load_config,
     run_ensemble,
@@ -57,7 +57,7 @@ class TestRunConfig:
 
     def test_from_dict_roundtrip(self):
         cfg = cross_herding_defaults(seed=5, steps=200)
-        again = config_from_dict(config_to_dict(cfg))
+        again = config_from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_from_dict_unknown_key(self):
@@ -97,8 +97,8 @@ class TestRunConfig:
         walk = np.cumsum(np.random.default_rng(0).normal(0.0, 0.01, 500))
         cfg = fw_config(fw=FWParams(a=[1.0] * 500, b=0.5, log_fundamental=walk))
         assert hash(cfg) == hash(replace(cfg))
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_schedule_container_keeps_bits(self):
         walk = np.cumsum(np.random.default_rng(1).normal(0.0, 0.01, 500))
@@ -124,7 +124,7 @@ ROUND_TRIP_CONFIGS = {
 @pytest.mark.parametrize("name", ROUND_TRIP_CONFIGS)
 def test_config_round_trips_through_json(name):
     config = ROUND_TRIP_CONFIGS[name]
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
 
 def _fw_doc(**overrides):
@@ -147,6 +147,7 @@ BAD_CONFIGS = [
     (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
     (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw", "every b value must be >= 0"),
     ({"model": "custom", "steps": 10}, "model", "unknown model 'custom'"),
+    (_fw_doc(price_rule={"delta": -1.0}), "price_rule", "delta must be >= 0, got -1.0"),
 ]
 
 
@@ -171,9 +172,9 @@ BAD_API_VALUES = {
     "herding.ed_noise_std": (lambda: HerdingConfig(ed_noise_std=NAN), ConfigError,
                              "herding.ed_noise_std: must be >= 0"),
     "run.dt": (lambda: fw_config(dt=NAN), ConfigError, "dt: must be > 0"),
-    "rule.gamma": (lambda: PriceRule(gamma=NAN), ValueError, "must be >= 0"),
-    "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ValueError, "must be >= 0"),
-    "rule.delta": (lambda: PriceRule(delta=NAN), ValueError, "must be >= 0"),
+    "rule.gamma": (lambda: PriceRule(gamma=NAN), ValueError, "gamma must be >= 0"),
+    "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ValueError, "sigma0 must be >= 0"),
+    "rule.delta": (lambda: PriceRule(delta=NAN), ValueError, "delta must be >= 0"),
     "fw.noise_std": (lambda: FWParams(noise_std=NAN), ValueError, "noise_std must be >= 0"),
     "fw.a_nan": (lambda: FWParams(a=NAN), ValueError, "every a value must be finite"),
     "fw.a_negative": (lambda: FWParams(a=-1.0), ValueError, "every a value must be >= 0"),
@@ -298,7 +299,7 @@ class TestRunEnsemble:
             run_ensemble(fw_config(seed=top), 2)
         assert e.value.field == "seed"
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config_to_dict(fw_config(steps=50))))
+        path.write_text(json.dumps(dataclasses.asdict(fw_config(steps=50))))
         assert main(["ensemble", "--config", str(path), "--seed", str(top),
                      "--replications", "2", "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -379,3 +380,13 @@ def test_reference_bits(name):
     out = run_simulation(config)
     assert hashlib.sha256(out.log_prices.tobytes()).hexdigest() == digest
     assert out.diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("name", ["fw", "fw_no_noise", "cross", "cross_no_ed_noise"])
+def test_first_steps_do_not_depend_on_steps(name):
+    # a run may draw normals past its last step, so a step's draws must not
+    # depend on how many steps follow it
+    config = REFERENCE_RUNS[name][0]
+    short, long = (run_simulation(replace(config, steps=steps, burn_in=None))
+                   for steps in (300, 300 + NORMAL_BLOCK + 7))
+    assert short.log_prices[:301].tobytes() == long.log_prices[:301].tobytes()

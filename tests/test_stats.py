@@ -101,6 +101,12 @@ class TestSkewness:
         with pytest.raises(DegenerateSample):
             skewness([2.0, 2.0, 2.0])
 
+    def test_variance_cubed_underflows(self):
+        # var is about 1.9e-321; its 1.5th power is 0.0
+        with pytest.raises(DegenerateSample, match=r"^variance .* underflows to 0 at power "
+                                                    r"1\.5: skewness undefined$"):
+            skewness([0.0, 0.0, 0.0, 1e-160])
+
     def test_against_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.lognormal(size=5000)
@@ -130,6 +136,12 @@ class TestExcessKurtosis:
     def test_zero_variance(self):
         with pytest.raises(DegenerateSample):
             excess_kurtosis([1.0] * 10)
+
+    def test_variance_squared_underflows(self):
+        # var is about 1.9e-201; its square is 0.0
+        with pytest.raises(DegenerateSample, match=r"^variance .* underflows to 0 at power "
+                                                    r"2\.0: kurtosis undefined$"):
+            excess_kurtosis([0.0, 0.0, 0.0, 1e-100])
 
     def test_against_oracle(self):
         rng = np.random.default_rng(6)
@@ -313,6 +325,9 @@ def old_skewness(sample):
     mean, var = mean_var(x)
     if var == 0.0:
         raise DegenerateSample("zero variance: skewness undefined")
+    if var**1.5 == 0.0:
+        raise DegenerateSample(f"variance {var!r} underflows to 0 at power 1.5: "
+                               "skewness undefined")
     m3 = float(np.mean((x - mean) ** 3))
     return m3 / var**1.5
 
@@ -324,6 +339,9 @@ def old_excess_kurtosis(sample):
     mean, var = mean_var(x)
     if var == 0.0:
         raise DegenerateSample("zero variance: kurtosis undefined")
+    if var**2 == 0.0:
+        raise DegenerateSample(f"variance {var!r} underflows to 0 at power 2.0: "
+                               "kurtosis undefined")
     m4 = float(np.mean((x - mean) ** 4))
     return m4 / var**2 - 3.0
 
