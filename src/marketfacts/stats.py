@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,9 @@ def _standardized_moment(sample, order: int, name: str) -> float:
     if var == 0.0:
         raise DegenerateSample(f"zero variance: {name} undefined")
     scale = var ** (order / 2)
-    if scale == 0.0:
-        raise DegenerateSample(f"variance {var!r} underflows to 0 at power {order / 2}: "
+    if scale < sys.float_info.min:  # a subnormal divisor has lost its precision
+        to = "0" if scale == 0.0 else f"the subnormal {scale!r}"
+        raise DegenerateSample(f"variance {var!r} underflows to {to} at power {order / 2}: "
                                f"{name} undefined")
     return float(np.mean((x - mean) ** order)) / scale
 
@@ -213,25 +215,39 @@ _PPF_D = (
 )
 
 
-def _norm_ppf_half(p: float) -> float:
-    """Inverse normal CDF for p in (0, 0.5]; the caller handles symmetry."""
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of every element, so libm sets the bits."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _norm_ppf(p: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of each p in (0, 1), unchecked.
+
+    ``+ - * /`` and ``sqrt`` round correctly on arrays as on Python floats,
+    and log, erfc and exp go through ``math``, so every element has the bits
+    of the same formula evaluated one float at a time.
+    """
     a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
+    upper = p > 0.5
+    # 1 - p is exact for p in [0.5, 1] (Sterbenz), so symmetry is lossless
+    h = np.where(upper, 1.0 - p, p)
+    x = np.empty_like(h)
+    tail = h < 0.02425
+    q = np.sqrt(-2.0 * _each(math.log, h[tail]))
+    x[tail] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+        (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    )
+    q = h[~tail] - 0.5
+    r = q * q
+    x[~tail] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    )
     # Halley refinement; with x <= 0 the erfc argument is positive, so
     # Phi(x) keeps full relative precision even deep in the tail
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    e = 0.5 * _each(math.erfc, -x / math.sqrt(2.0)) - h
+    u = e * math.sqrt(2.0 * math.pi) * _each(math.exp, x * x / 2.0)
+    x = x - u / (1.0 + x * u / 2.0)
+    return np.where(upper, -x, x)
 
 
 def norm_ppf(p: float) -> float:
@@ -242,10 +258,7 @@ def norm_ppf(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if p <= 0.5:
-        return _norm_ppf_half(p)
-    # 1 - p is exact for p in [0.5, 1] (Sterbenz), so symmetry is lossless
-    return -_norm_ppf_half(1.0 - p)
+    return float(_norm_ppf(np.array([p], dtype=float))[0])
 
 
 def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +274,7 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     mean, var = mean_var(x)
     if var == 0.0:
         raise DegenerateSample("zero variance: qq plot undefined")
-    ppf = np.fromiter((norm_ppf((i - 0.5) / n) for i in range(1, n + 1)), float, n)
+    ppf = _norm_ppf((np.arange(1, n + 1) - 0.5) / n)
     return mean + math.sqrt(var) * ppf, np.sort(x)
 
 

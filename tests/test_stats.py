@@ -1,9 +1,10 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketfacts import stats
@@ -107,6 +108,12 @@ class TestSkewness:
                                                     r"1\.5: skewness undefined$"):
             skewness([0.0, 0.0, 0.0, 1e-160])
 
+    def test_variance_cubed_is_subnormal(self):
+        # var ** 1.5 is 8e-323: m3 / var ** 1.5 read 1.1875 where it is 2/sqrt(3)
+        with pytest.raises(DegenerateSample, match=r"^variance .* underflows to the subnormal "
+                                                    r"8e-323 at power 1\.5: skewness undefined$"):
+            skewness([0.0, 0.0, 0.0, 1e-107])
+
     def test_against_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.lognormal(size=5000)
@@ -142,6 +149,12 @@ class TestExcessKurtosis:
         with pytest.raises(DegenerateSample, match=r"^variance .* underflows to 0 at power "
                                                     r"2\.0: kurtosis undefined$"):
             excess_kurtosis([0.0, 0.0, 0.0, 1e-100])
+
+    def test_variance_squared_is_subnormal(self):
+        # var ** 2 is 3.5e-322: m4 / var ** 2 - 3 read -0.66197 where it is -2/3
+        with pytest.raises(DegenerateSample, match=r"^variance .* underflows to the subnormal "
+                                                    r"3\.5e-322 at power 2\.0: kurtosis undefined$"):
+            excess_kurtosis([0.0, 0.0, 0.0, 1e-80])
 
     def test_against_oracle(self):
         rng = np.random.default_rng(6)
@@ -328,6 +341,9 @@ def old_skewness(sample):
     if var**1.5 == 0.0:
         raise DegenerateSample(f"variance {var!r} underflows to 0 at power 1.5: "
                                "skewness undefined")
+    if var**1.5 < sys.float_info.min:
+        raise DegenerateSample(f"variance {var!r} underflows to the subnormal {var**1.5!r} "
+                               "at power 1.5: skewness undefined")
     m3 = float(np.mean((x - mean) ** 3))
     return m3 / var**1.5
 
@@ -342,6 +358,9 @@ def old_excess_kurtosis(sample):
     if var**2 == 0.0:
         raise DegenerateSample(f"variance {var!r} underflows to 0 at power 2.0: "
                                "kurtosis undefined")
+    if var**2 < sys.float_info.min:
+        raise DegenerateSample(f"variance {var!r} underflows to the subnormal {var**2!r} "
+                               "at power 2.0: kurtosis undefined")
     m4 = float(np.mean((x - mean) ** 4))
     return m4 / var**2 - 3.0
 
@@ -505,6 +524,75 @@ class TestQqData:
         grid = np.array([norm_ppf((i - 0.5) / n) for i in range(1, n + 1)])
         theo, emp = qq_data(grid)
         assert np.max(np.abs(theo - emp)) < 1e-3
+
+
+# Acklam's formula evaluated one Python float at a time, as norm_ppf and
+# qq_data did before they ran on arrays: the array kernel must give its bits.
+
+def oracle_ppf_half(p):
+    a, b, c, d = stats._PPF_A, stats._PPF_B, stats._PPF_C, stats._PPF_D
+    if p < 0.02425:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    else:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        )
+    # Halley refinement; with x <= 0 the erfc argument is positive, so
+    # Phi(x) keeps full relative precision even deep in the tail
+    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+    return x - u / (1.0 + x * u / 2.0)
+
+
+def oracle_ppf(p):
+    return oracle_ppf_half(p) if p <= 0.5 else -oracle_ppf_half(1.0 - p)
+
+
+def oracle_grid(n):
+    return np.array([oracle_ppf((i - 0.5) / n) for i in range(1, n + 1)])
+
+
+def assert_qq_grid_is_oracle(x):
+    mean, var = mean_var(x)
+    expected = mean + math.sqrt(var) * oracle_grid(x.size)
+    assert qq_data(x)[0].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 4000), st.integers(0, 2**32), st.floats(-1e3, 1e3), st.floats(1e-6, 1e3))
+@example(n=2, seed=0, loc=0.0, scale=1.0)
+@example(n=3, seed=0, loc=0.0, scale=1.0)  # odd n: p = 0.5 is on the grid
+@example(n=3999, seed=1, loc=-2.0, scale=0.01)
+def test_qq_grid_has_the_bits_of_the_scalar_formula(n, seed, loc, scale):
+    x = loc + scale * np.random.default_rng(seed).standard_normal(n)
+    assert_qq_grid_is_oracle(x)
+
+
+def test_qq_grid_has_the_bits_of_the_scalar_formula_at_90k():
+    assert_qq_grid_is_oracle(np.random.default_rng(15).standard_t(3, size=90_000))
+
+
+# each side of both branch points, p = 1/2 and the neighbours of 1, subnormal p
+# (the smallest overflows math.exp in the Halley step, on both sides alike)
+EDGE_P = sorted({float(np.nextafter(c, d)) for c in (0.02425, 0.5, 1 - 0.02425, 1.0)
+                 for d in (0.0, 1.0) if 0.0 < np.nextafter(c, d) < 1.0}
+                | {0.02425, 0.5, 1 - 0.02425, 5e-324, 1e-310, sys.float_info.min})
+
+
+@pytest.mark.parametrize("p", EDGE_P)
+def test_norm_ppf_has_the_bits_of_the_scalar_formula_at_edges(p):
+    assert_same(outcome(norm_ppf, p), outcome(oracle_ppf, p))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_norm_ppf_has_the_bits_of_the_scalar_formula(p):
+    assert_same(outcome(norm_ppf, p), outcome(oracle_ppf, p))
 
 
 # ---------------------------------------------------------- full report
