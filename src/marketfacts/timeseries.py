@@ -63,12 +63,11 @@ def log_returns(prices: PriceSeries) -> np.ndarray:
     # consecutive prices are nearly equal (plain log differences do not)
     with np.errstate(over="ignore", divide="ignore"):
         values = np.log1p(np.diff(p) / p[:-1])
-    # a price ratio past the float range gives +-inf; statistics need finite returns
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
-        raise InvalidPrice(f"log return from {prices.dates[k]} to {prices.dates[k + 1]} "
-                           f"is not finite ({values[k]})")
+    # a price ratio past the float range gives +-inf there; the difference
+    # of the two logs is finite for any two positive finite prices
+    bad = ~np.isfinite(values)
+    if bad.any():
+        values[bad] = np.log(p[1:][bad]) - np.log(p[:-1][bad])
     values.setflags(write=False)
     return values
 

@@ -4,11 +4,16 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marketfacts import ingest, sim
+from marketfacts import ingest, sim, stats
 from marketfacts.cli import main
 from marketfacts.sim import cross_herding_defaults
 
@@ -26,12 +31,17 @@ def write_price_csv(path, n=5000, seed=0, vol=0.01):
     return prices
 
 
+# finite, positive prices whose second ratio is past the float range
+EXTREME_PRICES = [1.0, 1e308, 5e-324, 1.0, 2.0, 3.0]
+# their log returns, each a difference of two logs
+EXTREME_RETURNS = np.diff([math.log(p) for p in EXTREME_PRICES])
+
+
 def write_overflowing_prices(path):
-    """Finite, positive prices whose second ratio is past the float range."""
     with open(path, "w") as fh:
         fh.write("Date,Open\n")
-        for k, p in enumerate(["1.0", "1e308", "5e-324", "1.0", "2.0", "3.0"]):
-            fh.write(f"{dt.date(2000, 1, 1) + dt.timedelta(days=k)},{p}\n")
+        for k, p in enumerate(EXTREME_PRICES):
+            fh.write(f"{dt.date(2000, 1, 1) + dt.timedelta(days=k)},{p!r}\n")
 
 
 def write_config(path, **overrides):
@@ -241,16 +251,17 @@ class TestAnalyze:
         error = {"error": "InsufficientData: need at least 2 prices for returns, got 1"}
         assert doc["single (raw)"] == doc["single (absolute)"] == error
 
-    def test_non_finite_return_fails_only_its_columns(self, tmp_path):
+    def test_price_ratio_past_the_float_range_is_analyzed(self, tmp_path):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         write_price_csv(good, n=200)
         write_overflowing_prices(bad)
         out = tmp_path / "out"
         assert main(["analyze", "--input", str(good), "--input", str(bad),
-                     "--lags", "2", "--out-dir", str(out)]) == 0
+                     "--lags", "2", "--tail-fraction", "0.5", "--out-dir", str(out)]) == 0
         doc = json.loads((out / "table.json").read_text())
-        message = "InvalidPrice: log return from 2000-01-02 to 2000-01-03 is not finite (-inf)"
-        assert doc["bad (raw)"] == doc["bad (absolute)"] == {"error": message}
+        for kind, returns in (("raw", EXTREME_RETURNS), ("absolute", np.abs(EXTREME_RETURNS))):
+            expected = stats.full_report(returns, lags=[2], tail_fraction=0.5)
+            assert doc[f"bad ({kind})"] == pytest.approx(expected, rel=1e-9)
         assert "Skew" in doc["good (raw)"]
 
     def test_requires_some_input(self, tmp_path):
@@ -293,6 +304,34 @@ def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}: " in err
     assert "Traceback" not in err
+
+
+# a price cell: any positive float (subnormals too), or one that ingest skips
+positive_cells = st.floats(0.0, sys.float_info.max, exclude_min=True).map(repr)
+price_cells = st.one_of(
+    positive_cells, positive_cells,
+    st.sampled_from(["", "abc", "nan", "inf", "-1.0", "0", "-0.0", "1e309", "5e-325"]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(price_cells, max_size=40), st.sampled_from(["1", "1,2"]),
+       st.sampled_from(["0.2", "0.5"]))
+def test_analyze_fuzz_ends_in_an_exit_code_and_finite_cells(cells, lags, tail_fraction):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "p.csv"), os.path.join(tmp, "out")
+        with open(src, "w") as fh:
+            fh.write("Date,Open\n")
+            for k, cell in enumerate(cells):
+                fh.write(f"{dt.date(2000, 1, 1) + dt.timedelta(days=k)},{cell}\n")
+        code = main(["analyze", "--input", src, "--lags", lags,
+                     "--tail-fraction", tail_fraction, "--out-dir", out])
+        assert code in (0, 1)
+        if code == 0:
+            with open(os.path.join(out, "table.json")) as fh:
+                doc = json.load(fh)
+            numbers = [v for column in doc.values() for v in column.values() if not isinstance(v, str)]
+            assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 class TestSimulate:
@@ -509,15 +548,16 @@ class TestFigures:
         # 20 steps less the default burn-in of 2 leave 18 returns
         assert capsys.readouterr().err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
 
-    def test_non_finite_return_writes_no_file(self, tmp_path, capsys):
+    def test_price_ratio_past_the_float_range_is_plotted(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         write_overflowing_prices(src)
         out = tmp_path / "out"
         assert main(["figures", "--input", str(src), "--max-lag", "2",
-                     "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "InvalidPrice: log return from 2000-01-02 to 2000-01-03 is not finite (-inf)\n")
-        assert not out.exists()
+                     "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "qq.csv") as fh:
+            empirical = [float(row["empirical_quantile"]) for row in csv.DictReader(fh)]
+        np.testing.assert_allclose(empirical, np.sort(EXTREME_RETURNS), rtol=1e-14)
 
     def test_repeat_is_byte_identical(self, tmp_path):
         src = tmp_path / "gauss.csv"

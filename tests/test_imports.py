@@ -1,7 +1,9 @@
 """Every name a module imports is used in that module: the package's
-modules, the demos and the tests.
+modules, the demos and the tests. Every public function or class of the
+package is used in the package or exported by it.
 
-``__init__.py`` is left out: its imports are the package's exports.
+``__init__.py`` is left out of the first check: its imports are the
+package's exports.
 """
 
 import ast
@@ -38,3 +40,28 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def referenced_names(tree):
+    """Names a module reads, reads as attributes or imports from elsewhere."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+PACKAGE_TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@pytest.mark.parametrize("module", [name for name in PACKAGE_TREES if name != "__init__.py"])
+def test_no_dead_public_names(module):
+    # a public name that only tests call is API that nothing serves
+    used = {name for tree in PACKAGE_TREES.values() for name in referenced_names(tree)}
+    dead = [f"line {node.lineno}: {node.name}" for node in PACKAGE_TREES[module].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+    assert dead == []

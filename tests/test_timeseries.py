@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -15,6 +16,12 @@ from marketfacts.timeseries import PriceSeries, absolute_returns, log_returns
 def make_series(prices, start=dt.date(2010, 1, 1)):
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(prices)))
     return PriceSeries(dates=dates, prices=prices)
+
+
+def log_difference(a, b):
+    """ln(b) - ln(a) to 50 digits, rounded to a float."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.mpf(b)) - mpmath.log(mpmath.mpf(a)))
 
 
 class TestPriceSeries:
@@ -67,25 +74,19 @@ class TestLogReturns:
         with pytest.raises(InsufficientData):
             log_returns(make_series([100.0]))
 
-    @pytest.mark.parametrize("prices, pair, value", [
-        ([1.0, 1e308, 5e-324], "2010-01-02 to 2010-01-03", "-inf"),
-        ([5e-324, 1e308, 1.0], "2010-01-01 to 2010-01-02", "inf"),
+    @pytest.mark.parametrize("prices, expected", [
+        ([1.0, 1e308, 5e-324], [709.1962086421661, -1453.6362805635474]),
+        ([5e-324, 1e308, 1.0], [1453.6362805635474, -709.1962086421661]),
     ])
-    def test_non_finite_return_names_first_date_pair(self, prices, pair, value):
-        message = f"^log return from {pair} is not finite \\({value}\\)$"
-        with pytest.raises(InvalidPrice, match=message):
-            log_returns(make_series(prices))
+    def test_extreme_ratio_gives_finite_return(self, prices, expected):
+        np.testing.assert_allclose(log_returns(make_series(prices)), expected, rtol=1e-14)
 
     def test_against_high_precision_oracle(self):
         # 1000 uniform prices in (50, 150), checked against 50-digit logs
         rng = np.random.default_rng(42)
         prices = rng.uniform(50.0, 150.0, size=1000)
         got = log_returns(make_series(prices))
-        with mpmath.workdps(50):
-            expected = [
-                float(mpmath.log(mpmath.mpf(float(b))) - mpmath.log(mpmath.mpf(float(a))))
-                for a, b in zip(prices, prices[1:])
-            ]
+        expected = [log_difference(a, b) for a, b in zip(prices, prices[1:])]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_scale_invariance(self):
@@ -102,6 +103,24 @@ class TestLogReturns:
         r = log_returns(make_series(prices))
         rebuilt = prices[0] * np.exp(np.cumsum(r))
         np.testing.assert_allclose(rebuilt, prices[1:], rtol=1e-9)
+
+
+positive = st.floats(0.0, sys.float_info.max, exclude_min=True)  # subnormals too
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(positive, min_size=2, max_size=20))
+def test_log_returns_are_finite_for_any_positive_prices(prices):
+    got = log_returns(make_series(prices))
+    p = np.array(prices)
+    with np.errstate(all="ignore"):
+        relative = np.log1p(np.diff(p) / p[:-1])
+    for k, value in enumerate(got):
+        if np.isfinite(relative[k]):  # the relative-change form keeps its bits
+            assert value.tobytes() == relative[k].tobytes()
+        else:
+            exact = log_difference(prices[k], prices[k + 1])
+            assert abs(value - exact) <= 1e-14 * abs(exact)
 
 
 class TestAbsoluteReturns:
