@@ -117,17 +117,8 @@ def _describe(exc: MarketFactsError) -> str:
 
 
 def cmd_analyze(args) -> int:
-    sources = []
-    for path in args.input:
-        sources.append(
-            ingest.ManifestEntry(
-                label=os.path.splitext(os.path.basename(path))[0],
-                path=path,
-                from_date=args.from_date,
-                to_date=args.to_date,
-                price_column=None,
-            )
-        )
+    sources = [ingest.ManifestEntry(os.path.splitext(os.path.basename(path))[0], path)
+               for path in args.input]
     if args.manifest:
         sources.extend(ingest.load_manifest(args.manifest))
     if not sources:
@@ -142,11 +133,15 @@ def cmd_analyze(args) -> int:
         paths[entry.label] = entry.path
 
     columns = {}  # column name -> {stat row -> value or error string}
+    # the flags are the defaults that an entry's own keys override
+    defaults = {"price_column": args.price_column, "from_date": args.from_date,
+                "to_date": args.to_date}
     for entry in sources:
-        price_column = entry.price_column or args.price_column
         names = [f"{entry.label} ({kind})" for kind in KINDS]
+        options = {key: flag if getattr(entry, key) is None else getattr(entry, key)
+                   for key, flag in defaults.items()}
         try:
-            prices = ingest.read_prices(entry.path, price_column, entry.from_date, entry.to_date)
+            prices = ingest.read_prices(entry.path, **options)
             raw = timeseries.log_returns(prices)
             series = (raw, timeseries.absolute_returns(raw))
         except MarketFactsError as exc:  # a source without returns fails both columns
@@ -192,8 +187,7 @@ def cmd_ensemble(args) -> int:
     config = _load_config(args)
     # every check before the first run, so a bad argument writes no file
     sim.check_ensemble(config, args.replications, args.workers)
-    for lag in args.lags:
-        stats.check_lag(lag, config.steps - config.burn_in)
+    stats.check_lag(max(args.lags), config.steps - config.burn_in)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
     # every report before the first file, so a failing statistic writes none
     per_rep = {kind: [] for kind in KINDS}

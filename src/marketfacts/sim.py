@@ -220,10 +220,10 @@ def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:
 @contextlib.contextmanager
 def _allocating(field: str, size: int):
     """Turn numpy's refusal to allocate an array of ``size`` items (too big to
-    address, or out of memory) into a ConfigError naming ``field``."""
+    address or for a C long, or out of memory) into a ConfigError naming ``field``."""
     try:
         yield
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"{size} is too large to allocate: {exc}", field=field) from exc
 
 

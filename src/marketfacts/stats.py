@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .errors import (
     InsufficientPositivePoints,
     InsufficientTail,
     LagTooLarge,
-    MarketFactsError,
 )
 
 DEFAULT_LAGS = (10, 20, 50, 100)
@@ -111,7 +111,12 @@ def hill_estimator(sample, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> floa
 
 def check_lag(lag: int, n: int) -> None:
     """Raise :class:`LagTooLarge` unless ``lag`` >= 1 leaves at least two
-    overlapping points in a sample of ``n``."""
+    overlapping points in a sample of ``n``, and TypeError unless ``lag`` is
+    an integer."""
+    try:
+        operator.index(lag)
+    except TypeError:
+        raise TypeError(f"lag must be an integer, got {lag!r}") from None
     if lag < 1:
         raise LagTooLarge(f"lag must be >= 1, got {lag}")
     if n - lag < 2:
@@ -137,7 +142,10 @@ def autocorrelation(series, lag: int) -> float:
 
 def acf_profile(series, max_lag: int) -> np.ndarray:
     """Autocorrelation at every lag 1..max_lag, in lag order."""
-    return np.array(_acf(series, range(1, max_lag + 1)) if max_lag >= 1 else [])
+    if max_lag < 1:
+        return np.array([])
+    check_lag(max_lag, np.size(series))  # before a list of max_lag lags is built
+    return np.array(_acf(series, range(1, max_lag + 1)))
 
 
 def fit_power_decay(x, values) -> TailFit:
@@ -189,6 +197,8 @@ def histogram_data(sample, bin_count: int = 200):
     counts, edges = np.histogram(x, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     mean, var = mean_var(x)
+    if var == 0.0:  # the squared deviations underflow, though min < max
+        raise DegenerateSample("zero variance: Gaussian fit undefined")
     density = np.exp(-((centers - mean) ** 2) / (2.0 * var)) / math.sqrt(
         2.0 * math.pi * var
     )
@@ -283,24 +293,10 @@ def full_report(
     """Skew, excess kurtosis, Hill and autocorrelations of one return series,
     keyed by :func:`report_rows`.
 
-    A member statistic's error is re-raised as the same object, with the
-    failing statistic named at the start of its message.
+    The autocorrelations come first, from one deviation pass.  A member
+    statistic's error propagates unchanged; its class or message names it.
     """
     x = np.asarray(returns, dtype=float)
-
-    def _try(name, fn):
-        try:
-            return fn()
-        except MarketFactsError as exc:
-            exc.args = (f"{name}: {exc}",)
-            raise
-
-    acf = [_try(f"autocorrelation(lag={lag})", lambda l=lag: autocorrelation(x, int(l)))
-           for lag in lags]
-    values = [
-        _try("skewness", lambda: skewness(x)),
-        _try("excess_kurtosis", lambda: excess_kurtosis(x)),
-        _try("hill_estimator", lambda: hill_estimator(x, tail_fraction)),
-        *acf,
-    ]
+    acf = _acf(x, lags)
+    values = [skewness(x), excess_kurtosis(x), hill_estimator(x, tail_fraction), *acf]
     return dict(zip(report_rows(lags, tail_fraction), values))

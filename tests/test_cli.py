@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import dataclasses
 import datetime as dt
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketfacts import ingest, sim, stats
+from marketfacts import ingest, sim, stats, timeseries
 from marketfacts.cli import main
 from marketfacts.sim import cross_herding_defaults
 
@@ -144,6 +146,30 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
             assert "Traceback" not in err
+
+    def test_flags_are_defaults_for_manifest_entries(self, tmp_path):
+        src = tmp_path / "gauss.csv"
+        write_price_csv(src, n=400)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            {"label": "flags", "path": str(src)},
+            {"label": "nulls", "path": str(src), "from": None, "to": None, "price_column": None},
+            {"label": "own", "path": str(src), "from": "2000-01-15", "to": "2000-09-30"},
+            {"label": "column", "path": str(src), "price_column": "High"},  # every High is 0
+        ]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--manifest", str(manifest), "--from", "2000-05-01",
+                     "--to", "2001-01-31", "--price-column", "Open", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "table.json").read_text())
+
+        def report(column, start, end):
+            raw = timeseries.log_returns(ingest.read_prices(src, column, start, end))
+            return stats.full_report(raw)
+
+        assert doc["flags (raw)"] == doc["nulls (raw)"] == report("Open", "2000-05-01", "2001-01-31")
+        assert doc["own (raw)"] == report("Open", "2000-01-15", "2000-09-30")
+        assert doc["column (raw)"] == {
+            "error": f"EmptyWindow: {src}: no usable rows in window [2000-05-01, 2001-01-31]"}
 
     def test_unknown_manifest_key_rejected(self, tmp_path, capsys):
         src = tmp_path / "gauss.csv"
@@ -334,6 +360,139 @@ def test_analyze_fuzz_ends_in_an_exit_code_and_finite_cells(cells, lags, tail_fr
             assert numbers and all(math.isfinite(v) for v in numbers)
 
 
+# one small config per model; the fuzz below mutates them field by field
+FUZZ_CONFIGS = {
+    "fw": {
+        "model": "fw_two_agent", "steps": 200, "dt": 0.1, "seed": 3,
+        "initial_log_price": 0.0, "burn_in": 20,
+        "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 0.05, "delta": 0.0},
+        "fw": {"a": 1.0, "b": 0.8, "log_fundamental": 0.0, "noise_std": 0.3},
+    },
+    "herding": {
+        "model": "cross_herding", "steps": 200, "dt": 0.02, "seed": 3,
+        "initial_log_price": 0.0, "burn_in": 20,
+        "price_rule": {"gamma": 0.0, "noise": "proportional", "sigma0": 0.0, "delta": 0.03},
+        "herding": {"n_agents": 50, "threshold_min": 1.0, "threshold_max": 2.0,
+                    "ed_noise_std": 1.0},
+    },
+}
+# the dotted path of every field and section of those configs, by model
+FUZZ_SITES = {model: [f"{key}.{sub}" if sub else key for key, value in cfg.items()
+                      for sub in [None, *(value if isinstance(value, dict) else ())]]
+              for model, cfg in FUZZ_CONFIGS.items()}
+SHORT_SCHEDULE = object()  # stands for a per-step list one value short of the steps
+# huge ints are past what numpy can allocate, so no mutation allocates much
+EDGE_VALUES = [0, -1, 2**62, 2**64, 10**20, 1e-320, 1e308, -1e308, math.nan, math.inf,
+               -math.inf, "1", None, True, [], {}, SHORT_SCHEDULE]
+
+
+def mutated_config(model, mutations):
+    cfg = copy.deepcopy(FUZZ_CONFIGS[model])
+    for path, value in mutations:
+        if value is SHORT_SCHEDULE:
+            value = [0.5] * (FUZZ_CONFIGS[model]["steps"] - 1)
+        value = copy.deepcopy(value)  # a later mutation may write into it
+        *section, key = path.split(".")
+        target = cfg[section[0]] if section else cfg
+        if isinstance(target, dict):  # an earlier mutation may have replaced it
+            target[key] = value
+    return cfg
+
+
+def run_cli(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+def assert_finite_files(out_dir):
+    """No file under ``out_dir`` holds a NaN or an infinity."""
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            with open(os.path.join(root, name)) as fh:
+                text = fh.read()
+            if name.endswith(".json"):  # json.dump writes them as NaN, Infinity, -Infinity
+                json.loads(text, parse_constant=lambda token: pytest.fail(f"{name}: {token}"))
+                continue
+            for row in csv.reader(text.splitlines()):
+                for cell in row:
+                    with contextlib.suppress(ValueError):  # a header, label or error cell
+                        assert math.isfinite(float(cell)), (name, row)
+
+
+def optional_flag(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+# zero to two (path, value) mutations of one model's config
+config_mutations = st.sampled_from(list(FUZZ_CONFIGS)).flatmap(lambda model: st.tuples(
+    st.just(model),
+    st.lists(st.tuples(st.sampled_from(FUZZ_SITES[model]), st.sampled_from(EDGE_VALUES)),
+             max_size=2),
+))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(config_mutations,
+       optional_flag("--seed", ["0", "-1", str(2**64 - 1), str(2**64), "x"]),
+       optional_flag("--lags", ["1", "5,1", "10,100", "179", "180", "0", "-1", "1.5", "x",
+                                "", "1,1", str(10**20)]),
+       optional_flag("--max-lag", ["1", "100", "179", "180", "0", "-1", "x", str(10**20)]),
+       optional_flag("--bins", ["1", "40", "5000", "100001", "0", "x"]),
+       st.sampled_from(["1", "3"]))
+def test_sim_commands_fuzz_end_in_an_exit_code_and_finite_files(
+        mutations, seed, lags, max_lag, bins, replications):
+    model, mutations = mutations
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(mutated_config(model, mutations), fh)
+        for command, flags in (
+            ("simulate", []),
+            ("ensemble", ["--replications", replications, "--workers", "1", *lags]),
+            ("figures", [*max_lag, *bins]),
+        ):
+            out = os.path.join(tmp, command)
+            code = run_cli([command, "--config", cfg, *seed, *flags, "--out-dir", out])
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert_finite_files(out)
+
+
+MANIFEST_KEYS = ["label", "path", "from", "to", "price_column"]
+WRONG_TYPES = [5, -1, 1.5, 2**64, 1e308, math.nan, None, True, [], {}, "", "x", "2000-02-30"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([None, *MANIFEST_KEYS]),
+                          st.sampled_from(WRONG_TYPES)), max_size=3),
+       optional_flag("--from", ["2000-02-01", "2000-02-30", "x"]),
+       optional_flag("--to", ["2000-05-01", "1999-01-01"]),
+       optional_flag("--price-column", ["Close", "High", "x"]),
+       optional_flag("--lags", ["1", "5,1", "150", "x"]))
+def test_manifest_fuzz_ends_in_an_exit_code_and_finite_files(mutations, from_, to, column, lags):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, manifest = os.path.join(tmp, "p.csv"), os.path.join(tmp, "m.json")
+        out = os.path.join(tmp, "out")
+        write_price_csv(src, n=200)
+        entries = [{"label": "a", "path": src, "from": "2000-01-10", "to": "2000-06-30",
+                    "price_column": "Open"}, {"label": "b", "path": src}]
+        for index, key, value in mutations:  # key None: the whole entry
+            value = copy.deepcopy(value)  # a later mutation may write into it
+            if key is None:
+                entries[index] = value
+            elif isinstance(entries[index], dict):
+                entries[index][key] = value
+        with open(manifest, "w") as fh:
+            json.dump(entries, fh)
+        code = run_cli(["analyze", "--manifest", manifest, *from_, *to, *column, *lags,
+                        "--out-dir", out])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert_finite_files(out)
+
+
 class TestSimulate:
     def test_outputs_and_byte_identity(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -376,15 +535,19 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides, field", [
         ({"steps": 2**62}, "steps"),
         ({"steps": 20, "herding": {"n_agents": 2**62}}, "herding.n_agents"),
+        ({"steps": 20, "herding": {"n_agents": 2**64}}, "herding.n_agents"),
     ])
     def test_size_too_large_to_allocate(self, tmp_path, capsys, overrides, field):
-        # numpy refuses 2**62 float64s before it allocates anything
+        # numpy refuses 2**62 float64s, or a count past a C long, before it allocates anything
+        size = overrides
+        for key in field.split("."):
+            size = size[key]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "cross_herding", **overrides}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
-            f"ConfigError: {field}: {2**62} is too large to allocate: ")
+            f"ConfigError: {field}: {size} is too large to allocate: ")
         assert not out.exists()
 
 
@@ -432,8 +595,7 @@ class TestEnsemble:
         assert main(["ensemble", "--config", str(cfg), "--replications", "2",
                      "--lags", "10", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "DegenerateSample: autocorrelation(lag=10): zero variance: "
-            "autocorrelation undefined\n")
+            "DegenerateSample: zero variance: autocorrelation undefined\n")
         assert not out.exists() or not list(out.iterdir())
 
     def test_underflowing_variance_writes_no_file(self, tmp_path, capsys):
@@ -447,7 +609,7 @@ class TestEnsemble:
         assert main(["ensemble", "--config", str(cfg), "--replications", "2",
                      "--lags", "10", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("DegenerateSample: skewness: variance ")
+        assert err.startswith("DegenerateSample: variance ")
         assert err.endswith(" underflows to 0 at power 1.5: skewness undefined\n")
         assert not out.exists() or not list(out.iterdir())
 
@@ -483,10 +645,10 @@ class TestFigures:
         rc = main(["figures", "--config", str(cfg), "--max-lag", "50",
                    "--bins", "40", "--out-dir", str(out)])
         assert rc == 0
-        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        hist = list(csv.DictReader((out / "histogram.csv").read_text().splitlines()))
         assert len(hist) == 40
         assert sum(int(r["count"]) for r in hist) == 1800  # steps - burn_in returns
-        acf = list(csv.DictReader(open(out / "acf_abs.csv")))
+        acf = list(csv.DictReader((out / "acf_abs.csv").read_text().splitlines()))
         assert [int(r["lag"]) for r in acf] == list(range(1, 51))
         assert all(-1.0 <= float(r["autocorrelation"]) <= 1.0 for r in acf)
 
@@ -498,7 +660,7 @@ class TestFigures:
         assert rc == 0
         pairs = np.array(
             [(float(r["theoretical_quantile"]), float(r["empirical_quantile"]))
-             for r in csv.DictReader(open(out / "qq.csv"))]
+             for r in csv.DictReader((out / "qq.csv").read_text().splitlines())]
         )
         n = len(pairs)
         central = pairs[int(0.005 * n): int(0.995 * n)]
@@ -513,7 +675,7 @@ class TestFigures:
         out = tmp_path / "out"
         assert main(["figures", "--input", str(src), "--from", "2000-02-01",
                      "--price-column", "Close", "--out-dir", str(out)]) == 0
-        hist = list(csv.DictReader(open(out / "histogram.csv")))
+        hist = list(csv.DictReader((out / "histogram.csv").read_text().splitlines()))
         assert sum(int(r["count"]) for r in hist) == 168  # 169 prices from Feb 1
 
     @pytest.mark.parametrize("source, flag, value", [
@@ -547,6 +709,17 @@ class TestFigures:
                      "--out-dir", str(tmp_path / "out")]) == 1
         # 20 steps less the default burn-in of 2 leave 18 returns
         assert capsys.readouterr().err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
+
+    def test_huge_max_lag_fails_before_building_lags(self, tmp_path, capsys):
+        max_lag = 10**20  # too many lags for any list
+        src = tmp_path / "p.csv"
+        write_price_csv(src, n=200)  # 199 returns
+        out = tmp_path / "out"
+        assert main(["figures", "--input", str(src), "--max-lag", str(max_lag),
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"LagTooLarge: lag {max_lag} needs at least {max_lag + 2} points, got 199\n")
+        assert not out.exists()
 
     def test_price_ratio_past_the_float_range_is_plotted(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

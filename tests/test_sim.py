@@ -315,15 +315,18 @@ class TestWriteSimOutput:
         paths_b = write_sim_output(run_simulation(cfg), tmp_path / "b", "sim")
         assert len(paths_a) == 3
         for pa, pb in zip(paths_a, paths_b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                assert fa.read() == fb.read()
 
     def test_returns_file_round_trips_full_precision(self, tmp_path):
         out = run_simulation(fw_config())
         (path_lp, path_ret, path_diag) = write_sim_output(out, tmp_path, "sim")
-        rows = open(path_ret).read().strip().splitlines()[1:]
+        with open(path_ret) as fh:
+            rows = fh.read().strip().splitlines()[1:]
         values = np.array([float(r.split(",")[1]) for r in rows])
         np.testing.assert_array_equal(values, out.returns)
-        diag = json.load(open(path_diag))
+        with open(path_diag) as fh:
+            diag = json.load(fh)
         assert diag["seed"] == out.seed
 
 

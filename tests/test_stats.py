@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -475,6 +476,12 @@ class TestHistogramData:
         _, counts, _, _ = histogram_data(x, 1)
         np.testing.assert_array_equal(counts, [20])
 
+    def test_variance_underflowing_to_zero(self):
+        x = [0.0, 1e-170, 2e-170, 3e-170]  # min < max, but each squared deviation is 0.0
+        assert mean_var(x)[1] == 0.0
+        with pytest.raises(DegenerateSample, match=r"^zero variance: Gaussian fit undefined$"):
+            histogram_data(x, 2)
+
     def test_gaussian_fit_matches_empirical_frequencies(self):
         x = np.random.default_rng(19).standard_normal(1_000_000)
         edges, counts, centers, density = histogram_data(x, 200)
@@ -628,16 +635,16 @@ class TestFullReport:
         assert d["Hill 0.1"] == hill_estimator(r, 0.1)
 
     def test_failing_statistic_is_named(self):
-        r = np.zeros(5000)
-        with pytest.raises(LagTooLarge, match="autocorrelation"):
+        # the largest lag is checked first, and the ACF before the moments
+        with pytest.raises(LagTooLarge, match=r"^lag 100 needs at least 102 points, got 20$"):
             full_report(np.arange(20.0))
-        with pytest.raises(DegenerateSample, match="autocorrelation|skewness"):
-            full_report(r)
+        with pytest.raises(DegenerateSample, match=r"^zero variance: autocorrelation undefined$"):
+            full_report(np.zeros(5000))
 
     @pytest.mark.parametrize("error, message", [
-        (ConfigError("bad", field="f"), "skewness: f: bad"),
-        (NumericalBlowup("boom", step_index=3), "skewness: boom"),
-        (TwoArgumentError("odd", 7), "skewness: odd"),
+        (ConfigError("bad", field="f"), "f: bad"),
+        (NumericalBlowup("boom", step_index=3), "boom"),
+        (TwoArgumentError("odd", 7), "odd"),
         (RuntimeError("not ours"), "not ours"),
     ], ids=["field", "step_index", "two_arguments", "foreign"])
     def test_member_error_reraised_as_same_object(self, monkeypatch, error, message):
@@ -651,3 +658,27 @@ class TestFullReport:
         # the same object, so attributes such as field and step_index survive
         assert e.value is error
         assert str(e.value) == message
+
+    def test_one_acf_pass(self, monkeypatch):
+        calls = []
+        acf = stats._acf
+
+        def counting(x, lags):
+            calls.append(list(lags))
+            return acf(x, lags)
+
+        monkeypatch.setattr(stats, "_acf", counting)
+        monkeypatch.setattr(stats, "autocorrelation", None)  # no per-lag path
+        full_report(np.random.default_rng(24).standard_normal(500), lags=(50, 3))
+        assert calls == [[50, 3]]
+
+
+@pytest.mark.parametrize("lag", [10.5, 10.0, "10"])
+@pytest.mark.parametrize("statistic", [
+    autocorrelation, lambda x, lag: full_report(x, lags=(lag,)),
+], ids=["autocorrelation", "full_report"])
+def test_non_integer_lag_is_refused(statistic, lag):
+    x = np.random.default_rng(25).standard_normal(500)
+    with pytest.raises(TypeError, match=rf"^lag must be an integer, got {re.escape(repr(lag))}$"):
+        statistic(x, lag)
+    assert statistic(x, np.int64(10)) == statistic(x, 10)  # numpy integers still count
