@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
             )
         paths[entry.label] = entry.path
 
-    columns = {}  # column name -> {stat row -> value or error string}
+    columns = {}  # column name -> {stat row -> value or error string} or {"error": ...}
     # the flags are the defaults that an entry's own keys override
     defaults = {"price_column": args.price_column, "from_date": args.from_date,
                 "to_date": args.to_date}
@@ -148,12 +148,10 @@ def cmd_analyze(args) -> int:
             columns.update(dict.fromkeys(names, {"error": _describe(exc)}))
             continue
         for name, returns in zip(names, series):
-            try:
-                columns[name] = stats.full_report(
-                    returns, lags=args.lags, tail_fraction=args.tail_fraction
-                )
-            except MarketFactsError as exc:
-                columns[name] = {"error": _describe(exc)}
+            report = stats.full_report(returns, lags=args.lags,
+                                       tail_fraction=args.tail_fraction, cell_errors=True)
+            columns[name] = {row: _describe(value) if isinstance(value, MarketFactsError)
+                             else value for row, value in report.items()}
 
     col_names = list(columns)
     rows = [["Statistic"] + col_names]
@@ -166,7 +164,10 @@ def cmd_analyze(args) -> int:
     write_table(os.path.join(args.out_dir, "table.csv"), rows)
     write_json(os.path.join(args.out_dir, "table.json"), columns)
 
-    return 1 if all("error" in column for column in columns.values()) else 0
+    # a column fails when every one of its cells holds an error string
+    failed = [all(isinstance(cell, str) for cell in column.values())
+              for column in columns.values()]
+    return 1 if all(failed) else 0
 
 
 def _load_config(args) -> sim.RunConfig:

@@ -8,6 +8,7 @@ of ISO ``YYYY-MM-DD`` dates, and the price in a column chosen by name
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
 import io
@@ -63,11 +64,20 @@ def _window_date(value, name: str):
     raise InvalidWindow(f"{name}: {value!r} is not a YYYY-MM-DD date")
 
 
-def _open(path, **kwargs):
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a leading byte order mark, as Excel writes
+    one, reads as absent."""
     try:
-        return open(path, "r", encoding="utf-8", **kwargs)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # utf-8-sig counts from the end of the mark, the message from the file's start
+        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {start}") from exc
 
 
 def read_prices_report(
@@ -88,13 +98,7 @@ def read_prices_report(
     if from_date is not None and to_date is not None and from_date > to_date:
         raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
-    with _open(path, newline="") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     rows_in = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
     records = []
@@ -180,13 +184,13 @@ _MANIFEST_KEYS = {"label", "path", "from", "to", "price_column"}
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a JSON manifest: a list of {label, path, from, to, price_column}.
 
-    Any other key is a :class:`SchemaError`, so a misspelt ``from`` never
-    silently widens the window."""
-    with _open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise SchemaError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    ``label`` and ``path`` are strings, the other keys strings or null.  Any
+    other key or type is a :class:`SchemaError`, so a misspelt ``from``
+    never silently widens the window."""
+    try:
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise SchemaError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: manifest must be a JSON list")
     entries = []
@@ -196,10 +200,16 @@ def load_manifest(path) -> list[ManifestEntry]:
         unknown = sorted(item.keys() - _MANIFEST_KEYS)
         if unknown:
             raise SchemaError(f"{path}: entry {i}: unknown key(s) {unknown}")
+        for key, value in item.items():
+            required = key in ("label", "path")
+            if not (isinstance(value, str) or (value is None and not required)):
+                kind = "a string" if required else "a string or null"
+                raise SchemaError(
+                    f"{path}: entry {i}: {key!r} must be {kind}, got {json.dumps(value)}")
         entries.append(
             ManifestEntry(
-                label=str(item["label"]),
-                path=str(item["path"]),
+                label=item["label"],
+                path=item["path"],
                 from_date=item.get("from"),
                 to_date=item.get("to"),
                 price_column=item.get("price_column"),

@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,7 +192,7 @@ def config_from_dict(d: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # an Excel BOM reads as absent
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -342,6 +341,10 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     workers = min(workers, replications)
     if workers == 1:
         return [_run_replication(job) for job in jobs]
+    # imported here: the pool machinery (multiprocessing, sockets, logging)
+    # would otherwise load with every command
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_replication, jobs))
 

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientPositivePoints,
     InsufficientTail,
     LagTooLarge,
+    MarketFactsError,
 )
 
 DEFAULT_LAGS = (10, 20, 50, 100)
@@ -132,6 +133,9 @@ def _acf(series, lags) -> list[float]:
     denom = float(np.dot(d, d))
     if denom == 0.0:
         raise DegenerateSample("zero variance: autocorrelation undefined")
+    if denom < sys.float_info.min * x.size:  # products of subnormal size have lost precision
+        raise DegenerateSample(f"variance {denom / x.size!r} is subnormal: "
+                               "autocorrelation undefined")
     return [float(np.dot(d[lag:], d[:-lag])) / denom for lag in lags]
 
 
@@ -289,14 +293,34 @@ def full_report(
     returns,
     lags=DEFAULT_LAGS,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
+    *,
+    cell_errors: bool = False,
 ) -> dict:
     """Skew, excess kurtosis, Hill and autocorrelations of one return series,
     keyed by :func:`report_rows`.
 
-    The autocorrelations come first, from one deviation pass.  A member
-    statistic's error propagates unchanged; its class or message names it.
+    The statistics are checked in this order: each lag's length, the largest
+    lag first; the autocorrelations of the lags that fit, from one deviation
+    pass; then skewness, kurtosis and Hill.  The first that fails raises its
+    error unchanged (its class or message names it).  With ``cell_errors``
+    each one that fails holds its :class:`MarketFactsError` in its own row
+    instead, so a lag too long for the sample fails only that lag.
     """
+    def cell(statistic, *args):
+        try:
+            return statistic(*args)
+        except MarketFactsError as exc:
+            if not cell_errors:
+                raise
+            return exc
+
     x = np.asarray(returns, dtype=float)
-    acf = _acf(x, lags)
-    values = [skewness(x), excess_kurtosis(x), hill_estimator(x, tail_fraction), *acf]
+    acf = {lag: cell(check_lag, lag, x.size) for lag in sorted(lags, reverse=True)}
+    fit = [lag for lag in lags if acf[lag] is None]  # None: check_lag passed
+    if fit:
+        fitted = cell(_acf, x, fit)
+        acf.update(dict.fromkeys(fit, fitted) if isinstance(fitted, MarketFactsError)
+                   else zip(fit, fitted))
+    values = [cell(skewness, x), cell(excess_kurtosis, x),
+              cell(hill_estimator, x, tail_fraction), *(acf[lag] for lag in lags)]
     return dict(zip(report_rows(lags, tail_fraction), values))

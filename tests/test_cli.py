@@ -1,3 +1,5 @@
+import codecs
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -289,6 +291,50 @@ class TestAnalyze:
             expected = stats.full_report(returns, lags=[2], tail_fraction=0.5)
             assert doc[f"bad ({kind})"] == pytest.approx(expected, rel=1e-9)
         assert "Skew" in doc["good (raw)"]
+
+    def test_failing_statistic_fails_only_its_cell(self, tmp_path):
+        src = tmp_path / "q.csv"
+        prices = write_price_csv(src, n=28)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(src), "--lags", "2,40", "--tail-fraction", "0.2",
+                     "--out-dir", str(out)]) == 0
+        doc, table = json.loads((out / "table.json").read_text()), read_table(out / "table.csv")
+        raw = np.diff(np.log(prices))
+        too_long = "LagTooLarge: lag 40 needs at least 42 points, got 27"
+        for kind, returns in (("raw", raw), ("absolute", np.abs(raw))):
+            column = doc[f"q ({kind})"]
+            assert column.pop("AutoCorr 40") == table["AutoCorr 40"][f"q ({kind})"] == too_long
+            expected = stats.full_report(returns, lags=(2,), tail_fraction=0.2)
+            assert column == pytest.approx(expected, rel=1e-9)
+            for row, value in expected.items():
+                assert float(table[row][f"q ({kind})"]) == pytest.approx(value, abs=1e-5)
+
+    def test_column_fails_when_every_cell_fails(self, tmp_path):
+        good, flat = tmp_path / "good.csv", tmp_path / "flat.csv"
+        write_price_csv(good, n=200)
+        write_price_csv(flat, n=200, vol=0.0)  # every return is 0
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(flat), "--out-dir", str(out)]) == 1
+        doc = json.loads((out / "table.json").read_text())
+        assert doc["flat (raw)"]["Skew"] == "DegenerateSample: zero variance: skewness undefined"
+        assert doc["flat (raw)"]["AutoCorr 10"] == (
+            "DegenerateSample: zero variance: autocorrelation undefined")
+        assert doc["flat (raw)"]["Hill 0.05"].startswith("InsufficientTail: ")
+        assert main(["analyze", "--input", str(flat), "--input", str(good),
+                     "--out-dir", str(out)]) == 0
+
+    def test_byte_order_mark_reads_as_absent(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        plain, marked = tmp_path / "plain" / "p.csv", tmp_path / "marked" / "p.csv"
+        write_price_csv(plain, n=300)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for src in (plain, marked):
+            assert main(["analyze", "--input", str(src),
+                         "--out-dir", str(src.parent / "out")]) == 0
+        for name in ("table.csv", "table.json"):
+            assert ((tmp_path / "marked" / "out" / name).read_bytes()
+                    == (tmp_path / "plain" / "out" / name).read_bytes())
 
     def test_requires_some_input(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
@@ -631,7 +677,7 @@ class TestEnsemble:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = write_config(tmp_path / "cfg.json", steps=400)
         assert main(["ensemble", "--config", str(cfg), "--replications", "2",
                      "--workers", "8", "--out-dir", str(tmp_path / "out")]) == 0

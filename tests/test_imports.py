@@ -1,12 +1,16 @@
 """Every name a module imports is used in that module: the package's
 modules, the demos and the tests. Every public function or class of the
-package is used in the package or exported by it.
+package is used in the package or exported by it. Importing the command
+line leaves out the process pool.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,17 @@ def test_no_dead_public_names(module):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_") and node.name not in used]
     assert dead == []
+
+
+# what ``concurrent.futures.ProcessPoolExecutor`` loads; only an ensemble
+# with more than one worker needs it
+POOL_MODULES = ["concurrent.futures", "multiprocessing", "socket", "subprocess", "logging"]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)}
+    code = f"import sys, marketfacts.cli; print([m for m in {POOL_MODULES!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

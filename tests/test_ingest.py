@@ -1,5 +1,7 @@
+import codecs
 import csv
 import datetime as dt
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -189,6 +191,14 @@ class TestReadPrices:
             read_prices_report(path)
         assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte {offset}"
 
+    def test_non_utf8_offset_behind_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        head = codecs.BOM_UTF8 + b"Date,Open\n2010-01-04,"
+        path = tmp_path / "bin.csv"
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(SchemaError) as info:
+            read_prices_report(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte {len(head)}"
+
     def test_csv_parser_error_is_schema_error(self, tmp_path):
         path = write_csv(tmp_path, [
             "2010-01-04,100.0,0,0,0,0\n",
@@ -287,3 +297,33 @@ class TestManifest:
         path.write_text('[{"path": "x.csv"}]')
         with pytest.raises(SchemaError):
             load_manifest(path)
+
+    def test_byte_order_mark_reads_as_absent(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'[{"label": "DJ", "path": "dj.csv"}]')
+        assert [(e.label, e.path) for e in load_manifest(path)] == [("DJ", "dj.csv")]
+
+    def test_non_utf8_manifest_names_the_offset(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'[{"label": "\xff"}]')
+        with pytest.raises(SchemaError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte 15"
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("label", None, "'label' must be a string, got null"),
+        ("label", 5, "'label' must be a string, got 5"),
+        ("label", float("nan"), "'label' must be a string, got NaN"),
+        ("path", True, "'path' must be a string, got true"),
+        ("path", ["x.csv"], "'path' must be a string, got [\"x.csv\"]"),
+        ("from", 2000, "'from' must be a string or null, got 2000"),
+        ("to", {}, "'to' must be a string or null, got {}"),
+        ("price_column", 5, "'price_column' must be a string or null, got 5"),
+    ])
+    def test_values_have_json_types(self, tmp_path, key, value, expected):
+        path = tmp_path / "manifest.json"
+        entries = [{"label": "a", "path": "a.csv"}, {"label": "b", "path": "b.csv", key: value}]
+        path.write_text(json.dumps(entries))
+        with pytest.raises(SchemaError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: entry 1: {expected}"

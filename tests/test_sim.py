@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -75,6 +76,12 @@ class TestRunConfig:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": FW_TWO_AGENT, "steps": 50, "seed": 9}))
+        assert load_config(path).seed == 9
+
+    def test_load_config_byte_order_mark_reads_as_absent(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps({"model": FW_TWO_AGENT, "steps": 50,
+                                                       "seed": 9}).encode())
         assert load_config(path).seed == 9
 
     def test_load_config_bad_json(self, tmp_path):

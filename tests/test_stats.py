@@ -242,6 +242,15 @@ class TestAutocorrelation:
         with pytest.raises(DegenerateSample):
             autocorrelation(np.ones(50), 1)
 
+    def test_subnormal_variance(self):
+        # below a normal variance the products of deviations are subnormal and
+        # lose precision; just above it they keep it
+        r = np.random.default_rng(28).standard_normal(200)
+        for scale in (1e-155, 1e-162):
+            with pytest.raises(DegenerateSample, match=r" is subnormal: autocorrelation undefined$"):
+                autocorrelation(r * scale, 1)
+        assert autocorrelation(r * 1e-153, 1) == pytest.approx(autocorrelation(r, 1), rel=1e-14)
+
     def test_lag_too_large(self):
         with pytest.raises(LagTooLarge):
             autocorrelation(np.arange(10.0), 9)
@@ -671,6 +680,46 @@ class TestFullReport:
         monkeypatch.setattr(stats, "autocorrelation", None)  # no per-lag path
         full_report(np.random.default_rng(24).standard_normal(500), lags=(50, 3))
         assert calls == [[50, 3]]
+
+
+    def test_cell_errors_fail_only_their_rows(self, monkeypatch):
+        calls = []
+        acf = stats._acf
+
+        def counting(x, lags):
+            calls.append(list(lags))
+            return acf(x, lags)
+
+        monkeypatch.setattr(stats, "_acf", counting)
+        r = np.random.default_rng(26).standard_normal(40)
+        d = full_report(r, lags=(100, 10, 50), cell_errors=True)
+        assert calls == [[10]]  # the lags that fit, in one pass
+        for lag in (100, 50):
+            assert isinstance(d[f"AutoCorr {lag}"], LagTooLarge)
+            assert str(d[f"AutoCorr {lag}"]) == f"lag {lag} needs at least {lag + 2} points, got 40"
+        assert d["AutoCorr 10"] == autocorrelation(r, 10)
+        assert d["Skew"] == skewness(r)
+        assert list(d) == stats.report_rows((100, 10, 50), stats.DEFAULT_TAIL_FRACTION)
+
+    def test_cell_errors_on_a_constant_sample(self):
+        d = full_report(np.zeros(500), lags=(10, 20), cell_errors=True)
+        assert {row: type(value) for row, value in d.items()} == {
+            "Skew": DegenerateSample, "Excess Kurtosis": DegenerateSample,
+            "Hill 0.05": InsufficientTail,
+            "AutoCorr 10": DegenerateSample, "AutoCorr 20": DegenerateSample,
+        }
+        assert str(d["AutoCorr 10"]) == "zero variance: autocorrelation undefined"
+
+    def test_cell_errors_keep_foreign_errors_raising(self, monkeypatch):
+        error = RuntimeError("not ours")
+
+        def failing(_):
+            raise error
+
+        monkeypatch.setattr(stats, "skewness", failing)
+        with pytest.raises(RuntimeError) as e:
+            full_report(np.random.default_rng(27).standard_normal(500), cell_errors=True)
+        assert e.value is error
 
 
 @pytest.mark.parametrize("lag", [10.5, 10.0, "10"])
