@@ -117,31 +117,26 @@ def _describe(exc: MarketFactsError) -> str:
 
 
 def cmd_analyze(args) -> int:
-    sources = [ingest.ManifestEntry(os.path.splitext(os.path.basename(path))[0], path)
-               for path in args.input]
+    sources = [(os.path.splitext(os.path.basename(path))[0], path, {}) for path in args.input]
     if args.manifest:
         sources.extend(ingest.load_manifest(args.manifest))
     if not sources:
         print("analyze: need --input and/or --manifest", file=sys.stderr)
         return 2
     paths = {}  # label -> path; a label names the table's columns
-    for entry in sources:
-        if entry.label in paths:
-            raise SchemaError(
-                f"label {entry.label!r} names both {paths[entry.label]} and {entry.path}"
-            )
-        paths[entry.label] = entry.path
+    for label, path, _ in sources:
+        if label in paths:
+            raise SchemaError(f"label {label!r} names both {paths[label]} and {path}")
+        paths[label] = path
 
     columns = {}  # column name -> {stat row -> value or error string} or {"error": ...}
     # the flags are the defaults that an entry's own keys override
     defaults = {"price_column": args.price_column, "from_date": args.from_date,
                 "to_date": args.to_date}
-    for entry in sources:
-        names = [f"{entry.label} ({kind})" for kind in KINDS]
-        options = {key: flag if getattr(entry, key) is None else getattr(entry, key)
-                   for key, flag in defaults.items()}
+    for label, path, read_args in sources:
+        names = [f"{label} ({kind})" for kind in KINDS]
         try:
-            prices = ingest.read_prices(entry.path, **options)
+            prices = ingest.read_prices(path, **{**defaults, **read_args})
             raw = timeseries.log_returns(prices)
             series = (raw, timeseries.absolute_returns(raw))
         except MarketFactsError as exc:  # a source without returns fails both columns

@@ -60,8 +60,8 @@ class ConfigError(MarketFactsError):
 
 
 class SchemaError(MarketFactsError):
-    """An input file (price CSV or analysis manifest) does not have the
-    expected layout."""
+    """An input file (price CSV, analysis manifest or simulation config) is
+    not UTF-8, not valid JSON, or does not have the expected layout."""
 
 
 class UnreadableFile(MarketFactsError):

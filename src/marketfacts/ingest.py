@@ -1,9 +1,11 @@
-"""File-based ingestion of daily OHLC CSV data (stooq/yahoo layouts) into
-validated :class:`~marketfacts.timeseries.PriceSeries`.
+"""The one module that reads input files: daily OHLC price CSVs
+(stooq/yahoo layouts) into validated :class:`~marketfacts.timeseries.PriceSeries`,
+and the JSON of analysis manifests and simulation configs.
 
-The layout is fixed: comma-delimited, a header row naming a ``Date`` column
-of ISO ``YYYY-MM-DD`` dates, and the price in a column chosen by name
-(``Open`` by default).
+Every file is UTF-8; a leading byte order mark reads as absent, and a byte
+offset counts from the start of the file.  The price layout is fixed:
+comma-delimited, a header row naming a ``Date`` column of ISO ``YYYY-MM-DD``
+dates, and the price in a column chosen by name (``Open`` by default).
 """
 
 from __future__ import annotations
@@ -167,37 +169,43 @@ def read_prices(path, price_column: str = "Open", from_date=None, to_date=None) 
     return series
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One (label, file, window) item of a batch-analysis manifest."""
+def read_json(path):
+    """The JSON document of a UTF-8 file.  A document that does not parse, or
+    an object that repeats a key, is a :class:`SchemaError` naming the path."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise SchemaError(f"{path}: key {key!r} repeated in one object")
+            doc[key] = value
+        return doc
 
-    label: str
-    path: str
-    from_date: str | None = None
-    to_date: str | None = None
-    price_column: str | None = None
+    try:
+        return json.loads(_read_text(path), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
-_MANIFEST_KEYS = {"label", "path", "from", "to", "price_column"}
+# manifest key -> the read_prices keyword it sets
+_READ_ARGS = {"from": "from_date", "to": "to_date", "price_column": "price_column"}
 
 
-def load_manifest(path) -> list[ManifestEntry]:
+def load_manifest(path) -> list[tuple[str, str, dict]]:
     """Read a JSON manifest: a list of {label, path, from, to, price_column}.
 
     ``label`` and ``path`` are strings, the other keys strings or null.  Any
     other key or type is a :class:`SchemaError`, so a misspelt ``from``
-    never silently widens the window."""
-    try:
-        doc = json.loads(_read_text(path))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise SchemaError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    never silently widens the window.  Each entry comes back as
+    ``(label, path, read_args)``, where ``read_args`` holds the
+    :func:`read_prices` keyword of each of its other keys that is not null."""
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: manifest must be a JSON list")
     entries = []
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or "label" not in item or "path" not in item:
             raise SchemaError(f"{path}: entry {i} needs 'label' and 'path'")
-        unknown = sorted(item.keys() - _MANIFEST_KEYS)
+        unknown = sorted(item.keys() - {"label", "path", *_READ_ARGS})
         if unknown:
             raise SchemaError(f"{path}: entry {i}: unknown key(s) {unknown}")
         for key, value in item.items():
@@ -206,13 +214,7 @@ def load_manifest(path) -> list[ManifestEntry]:
                 kind = "a string" if required else "a string or null"
                 raise SchemaError(
                     f"{path}: entry {i}: {key!r} must be {kind}, got {json.dumps(value)}")
-        entries.append(
-            ManifestEntry(
-                label=item["label"],
-                path=item["path"],
-                from_date=item.get("from"),
-                to_date=item.get("to"),
-                price_column=item.get("price_column"),
-            )
-        )
+        read_args = {_READ_ARGS[key]: value for key, value in item.items()
+                     if key in _READ_ARGS and value is not None}
+        entries.append((item["label"], item["path"], read_args))
     return entries

@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
-import json
 import math
 import os
 import sys
@@ -49,6 +48,7 @@ from .environment import (
     switch_count,
 )
 from .errors import ConfigError, NumericalBlowup
+from .ingest import read_json
 from .market import PriceRule, price_step
 from .output import write_columns, write_json
 
@@ -191,14 +191,7 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # an Excel BOM reads as absent
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ConfigError(f"not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))
 
 
 def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:

@@ -124,6 +124,15 @@ def check_lag(lag: int, n: int) -> None:
         raise LagTooLarge(f"lag {lag} needs at least {lag + 2} points, got {n}")
 
 
+def _check_variance(squares: float, n: int, name: str) -> None:
+    """Raise :class:`DegenerateSample` unless ``squares / n``, a sum of ``n``
+    squared deviations (or a variance, with ``n`` = 1), is a normal float."""
+    if squares == 0.0:
+        raise DegenerateSample(f"zero variance: {name} undefined")
+    if squares < sys.float_info.min * n:  # products of subnormal size have lost precision
+        raise DegenerateSample(f"variance {squares / n!r} is subnormal: {name} undefined")
+
+
 def _acf(series, lags) -> list[float]:
     """C(l) for each l in ``lags`` from one deviation pass; checks the largest lag first."""
     x = np.asarray(series, dtype=float)
@@ -131,11 +140,7 @@ def _acf(series, lags) -> list[float]:
         check_lag(lag, x.size)
     d = x - x.mean()
     denom = float(np.dot(d, d))
-    if denom == 0.0:
-        raise DegenerateSample("zero variance: autocorrelation undefined")
-    if denom < sys.float_info.min * x.size:  # products of subnormal size have lost precision
-        raise DegenerateSample(f"variance {denom / x.size!r} is subnormal: "
-                               "autocorrelation undefined")
+    _check_variance(denom, x.size, "autocorrelation")
     return [float(np.dot(d[lag:], d[:-lag])) / denom for lag in lags]
 
 
@@ -201,8 +206,7 @@ def histogram_data(sample, bin_count: int = 200):
     counts, edges = np.histogram(x, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     mean, var = mean_var(x)
-    if var == 0.0:  # the squared deviations underflow, though min < max
-        raise DegenerateSample("zero variance: Gaussian fit undefined")
+    _check_variance(var, 1, "Gaussian fit")  # the squares may underflow, though min < max
     density = np.exp(-((centers - mean) ** 2) / (2.0 * var)) / math.sqrt(
         2.0 * math.pi * var
     )
@@ -276,8 +280,7 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise InsufficientData(f"need n >= 2 for a qq plot, got {n}")
     mean, var = mean_var(x)
-    if var == 0.0:
-        raise DegenerateSample("zero variance: qq plot undefined")
+    _check_variance(var, 1, "qq plot")
     ppf = _norm_ppf((np.arange(1, n + 1) - 0.5) / n)
     return mean + math.sqrt(var) * ppf, np.sort(x)
 

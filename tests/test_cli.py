@@ -136,17 +136,25 @@ class TestAnalyze:
         assert "Skew" in doc["ok (raw)"] and "Skew" in doc["ok (absolute)"]
         for kind in ("raw", "absolute"):
             assert doc[f"bad_date ({kind})"]["error"].startswith("InvalidWindow: from:")
-            assert doc[f"no_file ({kind})"]["error"].startswith(f"UnreadableFile: {missing}")
+            assert doc[f"no_file ({kind})"]["error"] == (
+                f"UnreadableFile: {missing}: No such file or directory")
 
     def test_malformed_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         # the second document nests past the JSON decoder's recursion limit
-        for text in ('[{"label": "x",', "[" * 100_000):
-            manifest.write_text(text)
+        for text, expected in [
+            ('[{"label": "x",', f"SchemaError: {manifest}: not valid JSON: "),
+            ("[" * 100_000, f"SchemaError: {manifest}: not valid JSON: "),
+            (None, f"UnreadableFile: {manifest}: No such file or directory\n"),
+        ]:
+            if text is None:
+                manifest.unlink()
+            else:
+                manifest.write_text(text)
             rc = main(["analyze", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
             assert rc == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"SchemaError: {manifest}: manifest is not valid JSON")
+            assert err.startswith(expected)
             assert "Traceback" not in err
 
     def test_flags_are_defaults_for_manifest_entries(self, tmp_path):
@@ -569,12 +577,26 @@ class TestSimulate:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        # the second document nests past the JSON decoder's recursion limit
-        for text in (json.dumps({"model": "fw_two_agent"}), "[" * 100_000):
-            cfg.write_text(text)
+        # a bad value is a ConfigError naming its field; a file that cannot be
+        # read or parsed is an error naming the file.  The third document
+        # nests past the JSON decoder's recursion limit.
+        for data, expected in [
+            (json.dumps({"model": "fw_two_agent"}).encode(), "ConfigError: steps: required\n"),
+            (b"{not json", f"SchemaError: {cfg}: not valid JSON: "),
+            (b"[" * 100_000, f"SchemaError: {cfg}: not valid JSON: "),
+            (b'{"model": "fw_two_agent", "steps": 10, "steps": 50}',
+             f"SchemaError: {cfg}: key 'steps' repeated in one object\n"),
+            (codecs.BOM_UTF8 + b'{"model": "fw_two_agent", "steps": 50, "x": "\xff"}',
+             f"SchemaError: {cfg}: not UTF-8 text: invalid start byte at byte 48\n"),
+            (None, f"UnreadableFile: {cfg}: No such file or directory\n"),
+        ]:
+            if data is None:
+                cfg.unlink()
+            else:
+                cfg.write_bytes(data)
             assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("ConfigError")
+            assert err.startswith(expected)
             assert "Traceback" not in err
 
 

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module: the package's
 modules, the demos and the tests. Every public function or class of the
 package is used in the package or exported by it. Importing the command
-line leaves out the process pool.
+line leaves out the process pool. Only ``ingest`` reads files and only
+``output`` writes them.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's exports.
@@ -69,6 +70,16 @@ def test_no_dead_public_names(module):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_") and node.name not in used]
     assert dead == []
+
+
+def test_only_ingest_and_output_open_files():
+    # ingest decodes every input file and output fixes every written byte;
+    # a call of open(), io.open(), os.open() or path.open() counts
+    calls = [f"{module}:{node.lineno}" for module, tree in PACKAGE_TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"]
+    assert [call for call in calls if not call.startswith(("ingest.py:", "output.py:"))] == []
+    assert calls  # the check still sees the two modules' own calls
 
 
 # what ``concurrent.futures.ProcessPoolExecutor`` loads; only an ensemble

@@ -285,9 +285,12 @@ class TestManifest:
         path.write_text(
             '[{"label": "DJ", "path": "dj.csv", "from": "1896-05-27", "to": "2018-11-14"}]'
         )
-        entries = load_manifest(path)
-        assert entries[0].label == "DJ"
-        assert entries[0].from_date == "1896-05-27"
+        assert load_manifest(path) == [
+            ("DJ", "dj.csv", {"from_date": "1896-05-27", "to_date": "2018-11-14"})]
+        # a null key sets no read_prices argument
+        path.write_text(
+            '[{"label": "DJ", "path": "dj.csv", "from": null, "price_column": "Close"}]')
+        assert load_manifest(path) == [("DJ", "dj.csv", {"price_column": "Close"})]
 
     def test_rejects_bad_shape(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -301,7 +304,7 @@ class TestManifest:
     def test_byte_order_mark_reads_as_absent(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_bytes(codecs.BOM_UTF8 + b'[{"label": "DJ", "path": "dj.csv"}]')
-        assert [(e.label, e.path) for e in load_manifest(path)] == [("DJ", "dj.csv")]
+        assert load_manifest(path) == [("DJ", "dj.csv", {})]
 
     def test_non_utf8_manifest_names_the_offset(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -309,6 +312,14 @@ class TestManifest:
         with pytest.raises(SchemaError) as info:
             load_manifest(path)
         assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte 15"
+
+    def test_repeated_key(self, tmp_path):
+        # the last value would win silently: the entry would read b.csv
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"label": "a", "path": "a.csv", "path": "b.csv"}]')
+        with pytest.raises(SchemaError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: key 'path' repeated in one object"
 
     @pytest.mark.parametrize("key, value, expected", [
         ("label", None, "'label' must be a string, got null"),

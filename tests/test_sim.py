@@ -10,7 +10,7 @@ import pytest
 
 from marketfacts.agents import FWParams
 from marketfacts.cli import main
-from marketfacts.errors import ConfigError, NumericalBlowup
+from marketfacts.errors import ConfigError, NumericalBlowup, SchemaError, UnreadableFile
 from marketfacts.environment import HerdingPopulation, herding_step
 from marketfacts.market import PriceRule, price_step
 from marketfacts.sim import (
@@ -86,15 +86,35 @@ class TestRunConfig:
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
-        # the second document nests past the JSON decoder's recursion limit
-        for text in ("{not json", "[" * 100_000):
-            path.write_text(text)
-            with pytest.raises(ConfigError, match="not valid JSON"):
+        # the third document nests past the JSON decoder's recursion limit; in
+        # the last a byte order mark and 45 bytes come before the bad byte
+        for data, expected in [
+            (b"{not json", f"{path}: not valid JSON: Expecting property name"),
+            (b"[" * 100_000, f"{path}: not valid JSON: "),
+            (codecs.BOM_UTF8 + b'{"model": "fw_two_agent", "steps": 50, "x": "\xff"}',
+             f"{path}: not UTF-8 text: invalid start byte at byte 48"),
+        ]:
+            path.write_bytes(data)
+            with pytest.raises(SchemaError) as info:
                 load_config(path)
+            assert str(info.value).startswith(expected)
 
     def test_load_config_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config"):
-            load_config(tmp_path / "missing.json")
+        path = tmp_path / "missing.json"
+        with pytest.raises(UnreadableFile) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: No such file or directory"
+
+    def test_load_config_repeated_key(self, tmp_path):
+        # the last value would win silently: 50 steps where 10 were written first
+        path = tmp_path / "cfg.json"
+        for text, key in [('{"model": "fw_two_agent", "steps": 10, "steps": 50}', "steps"),
+                          ('{"model": "fw_two_agent", "steps": 10, '
+                           '"fw": {"a": 1.0, "b": 0.5, "a": 2.0}}', "a")]:
+            path.write_text(text)
+            with pytest.raises(SchemaError) as info:
+                load_config(path)
+            assert str(info.value) == f"{path}: key {key!r} repeated in one object"
 
     def test_from_dict_null_burn_in_is_default(self):
         cfg = config_from_dict({"model": FW_TWO_AGENT, "steps": 50, "burn_in": None})

@@ -464,6 +464,10 @@ class TestFitPowerDecay:
 
 # -------------------------------------------------------------- figures
 
+# a normal sample scaled so that its variance, about 1e-320, is subnormal
+SUBNORMAL_VARIANCE_SAMPLE = np.random.default_rng(28).standard_normal(200) * 1e-160
+
+
 class TestHistogramData:
     def test_two_bins(self):
         _, counts, _, _ = histogram_data([0.0, 0.0, 1.0, 1.0], 2)
@@ -486,10 +490,15 @@ class TestHistogramData:
         np.testing.assert_array_equal(counts, [20])
 
     def test_variance_underflowing_to_zero(self):
-        x = [0.0, 1e-170, 2e-170, 3e-170]  # min < max, but each squared deviation is 0.0
-        assert mean_var(x)[1] == 0.0
-        with pytest.raises(DegenerateSample, match=r"^zero variance: Gaussian fit undefined$"):
-            histogram_data(x, 2)
+        # min < max, but each squared deviation is 0.0, or the variance is
+        # subnormal and the density would have lost its precision
+        for x, message in [
+            ([0.0, 1e-170, 2e-170, 3e-170], r"^zero variance: Gaussian fit undefined$"),
+            (SUBNORMAL_VARIANCE_SAMPLE, r"^variance .* is subnormal: Gaussian fit undefined$"),
+        ]:
+            assert mean_var(x)[1] < sys.float_info.min
+            with pytest.raises(DegenerateSample, match=message):
+                histogram_data(x, 2)
 
     def test_gaussian_fit_matches_empirical_frequencies(self):
         x = np.random.default_rng(19).standard_normal(1_000_000)
@@ -523,8 +532,12 @@ class TestQqData:
         assert emp[2] == 3.0
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateSample):
-            qq_data(np.ones(10))
+        for x, message in [
+            (np.ones(10), r"^zero variance: qq plot undefined$"),
+            (SUBNORMAL_VARIANCE_SAMPLE, r"^variance .* is subnormal: qq plot undefined$"),
+        ]:
+            with pytest.raises(DegenerateSample, match=message):
+                qq_data(x)
 
     def test_quantile_grid_near_identity(self):
         # sample built from the normal quantile grid itself; deviation from
