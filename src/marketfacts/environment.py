@@ -17,13 +17,19 @@ from .timeseries import _readonly
 
 
 class HerdingPopulation:
-    """Immutable array-of-agents; updates return a new population."""
+    """Immutable array-of-agents; updates return a new population.
 
-    __slots__ = ("sigma", "pressure", "threshold")
+    ``total`` is the sum of the signs, an integer that a float holds
+    exactly; :func:`herding_step` keeps it up to date.
+    """
+
+    __slots__ = ("sigma", "pressure", "threshold", "total")
 
     def __init__(self, sigma, pressure, threshold):
         self.sigma = _readonly(sigma)
-        self.pressure = _readonly(pressure)
+        # + 0.0 stores a -0.0 pressure as +0.0, which herding_step's
+        # "+ 0.0 for agents that accrue nothing" keeps bit for bit
+        self.pressure = _readonly(np.add(pressure, 0.0))
         self.threshold = _readonly(threshold)
         n = self.sigma.size
         if n == 0:
@@ -36,12 +42,15 @@ class HerdingPopulation:
             raise ValueError("pressures must be >= 0")
         if not np.all(self.threshold > 0.0):
             raise ValueError("thresholds must be > 0")
+        # a sum of +-1 values is exact in any order
+        self.total = float(np.add.reduce(self.sigma))
 
     @classmethod
-    def _of(cls, sigma, pressure, threshold) -> "HerdingPopulation":
-        """Wrap valid read-only arrays as they are: no checks, no copies."""
+    def _of(cls, sigma, pressure, threshold, total) -> "HerdingPopulation":
+        """Wrap valid read-only arrays and their sign sum as they are: no
+        checks, no copies."""
         pop = cls.__new__(cls)
-        pop.sigma, pop.pressure, pop.threshold = sigma, pressure, threshold
+        pop.sigma, pop.pressure, pop.threshold, pop.total = sigma, pressure, threshold, total
         return pop
 
     @classmethod
@@ -67,8 +76,8 @@ class HerdingPopulation:
 
 def population_excess_demand(pop: HerdingPopulation) -> float:
     """Aggregated excess demand with ed_i = sigma_i: the mean position."""
-    # a sum of +-1 values is exact in any order, so this is mean() bit for bit
-    return float(np.add.reduce(pop.sigma)) / pop.sigma.size
+    # the carried sign sum is exact, so this is sigma.mean() bit for bit
+    return pop.total / pop.sigma.size
 
 
 def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulation:
@@ -81,22 +90,28 @@ def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulat
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    sigma, pressure = pop.sigma, pop.pressure
-    if ed > 0.0:
-        pressure = np.where(sigma < 0.0, pressure + dt * abs(ed), pressure)
-    elif ed < 0.0:
-        pressure = np.where(sigma > 0.0, pressure + dt * abs(ed), pressure)
+    sigma, pressure, total = pop.sigma, pop.pressure, pop.total
+    if ed > 0.0 or ed < 0.0:
+        opposed = sigma < 0.0 if ed > 0.0 else sigma > 0.0
+        inc = dt * abs(ed)
+        if inc < math.inf:
+            # True * inc is inc and p + False * inc is p (pressures are >= +0)
+            pressure = opposed * inc + pressure
+        else:  # 0 * inf is NaN
+            pressure = np.where(opposed, pressure + inc, pressure)
     switch = (pressure >= pop.threshold).nonzero()[0]
     if switch.size:
+        flipped = sigma[switch]
+        total -= 2.0 * sum(flipped.tolist())  # few agents flip: a list sums them fastest
         sigma = sigma.copy()
-        sigma[switch] = -sigma[switch]
+        sigma[switch] = -flipped
         if pressure is pop.pressure:
             pressure = pressure.copy()
         pressure[switch] = 0.0
         sigma.setflags(write=False)
     if pressure is not pop.pressure:
         pressure.setflags(write=False)
-    return HerdingPopulation._of(sigma, pressure, pop.threshold)
+    return HerdingPopulation._of(sigma, pressure, pop.threshold, total)
 
 
 def switch_count(before: HerdingPopulation, after: HerdingPopulation) -> int:

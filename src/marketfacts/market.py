@@ -17,12 +17,10 @@ PROPORTIONAL = "proportional"
 
 @dataclass(frozen=True)
 class PriceRule:
-    """Drift F and noise amplitude G of the price update.
-
-    Linear drift F = gamma * dt * ED (market-maker speed gamma), and either
-    constant noise G = sigma0 * sqrt(dt) or ED-proportional noise
-    G = delta * sqrt(dt) * |ED|.  The sqrt(dt) scaling keeps dt-refinement
-    consistent with a diffusion limit.
+    """Parameters of the price update: market-maker speed ``gamma`` of the
+    drift F, and the ``noise`` form of the amplitude G with its scale
+    ``sigma0`` (constant) or ``delta`` (ED-proportional).  :func:`price_step`
+    states F and G.
     """
 
     gamma: float = 0.0
@@ -38,21 +36,23 @@ class PriceRule:
         if self.noise not in (CONSTANT, PROPORTIONAL):
             raise ValueError(f"unknown noise spec {self.noise!r}")
 
-    def drift(self, ed: float, dt: float) -> float:
-        return self.gamma * dt * ed
-
-    def noise_amplitude(self, ed: float, dt: float) -> float:
-        if self.noise == CONSTANT:
-            return self.sigma0 * math.sqrt(dt)
-        return self.delta * math.sqrt(dt) * abs(ed)
-
 
 def price_step(log_price: float, ed: float, dt: float, rule: PriceRule, eta: float) -> float:
     """The log price after one step of size ``dt`` at excess demand ``ed``;
-    ``eta`` is a standard normal draw supplied by the caller's RNG stream."""
+    ``eta`` is a standard normal draw supplied by the caller's RNG stream.
+
+    Linear drift F = gamma * dt * ED, and either constant noise
+    G = sigma0 * sqrt(dt) or ED-proportional noise G = delta * sqrt(dt) * |ED|.
+    The sqrt(dt) scaling keeps dt-refinement consistent with a diffusion
+    limit.
+    """
     if not dt > 0.0:  # also true for NaN
         raise ValueError(f"dt must be > 0, got {dt}")
-    s_next = log_price + rule.drift(ed, dt) + rule.noise_amplitude(ed, dt) * eta
+    if rule.noise == CONSTANT:
+        amplitude = rule.sigma0 * math.sqrt(dt)
+    else:
+        amplitude = rule.delta * math.sqrt(dt) * abs(ed)
+    s_next = log_price + rule.gamma * dt * ed + amplitude * eta
     if not abs(s_next) <= LOG_PRICE_LIMIT:  # also true for NaN
         raise NumericalBlowup(f"log price {s_next} out of range")
     return s_next

@@ -59,15 +59,23 @@ def _standardized_moment(sample, order: int, name: str) -> float:
     x = np.asarray(sample, dtype=float)
     if x.size < order:
         raise InsufficientData(f"need n >= {order} for {name}, got {x.size}")
-    mean, var = mean_var(x)
-    if var == 0.0:
-        raise DegenerateSample(f"zero variance: {name} undefined")
-    scale = var ** (order / 2)
-    if scale < sys.float_info.min:  # a subnormal divisor has lost its precision
-        to = "0" if scale == 0.0 else f"the subnormal {scale!r}"
-        raise DegenerateSample(f"variance {var!r} underflows to {to} at power {order / 2}: "
-                               f"{name} undefined")
-    return float(np.mean((x - mean) ** order)) / scale
+    power = order / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        mean, var = mean_var(x)
+        if var == 0.0:
+            raise DegenerateSample(f"zero variance: {name} undefined")
+        try:
+            scale = var ** power
+        except OverflowError:  # a float power raises where numpy gives inf
+            scale = math.inf
+        if scale < sys.float_info.min:  # a subnormal divisor has lost its precision
+            to = "0" if scale == 0.0 else f"the subnormal {scale!r}"
+            raise DegenerateSample(f"variance {var!r} underflows to {to} at power {power}: "
+                                   f"{name} undefined")
+        moment = float(np.mean((x - mean) ** order))
+    if not (math.isfinite(scale) and math.isfinite(moment)):
+        raise DegenerateSample(f"variance {var!r} overflows at power {power}: {name} undefined")
+    return moment / scale
 
 
 def skewness(sample) -> float:

@@ -196,24 +196,31 @@ def mask_step(pop, ed, dt):
         st.tuples(
             st.sampled_from([-1.0, 1.0]),
             st.floats(0.1, 2.0),
-            # starting pressure as a fraction of the threshold: 1.0 is exactly at it
-            st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(0.0, 2.0)),
+            # starting pressure as a fraction of the threshold: 1.0 is exactly at
+            # it, and -0.0 gives a -0.0 pressure
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.5]), st.floats(0.0, 2.0)),
         ),
         min_size=1, max_size=30,
     ),
-    ed=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
-                 st.floats()),
+    eds=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+                  st.floats()),  # the full range: dt * |ed| overflows for the largest
+        min_size=1, max_size=8,
+    ),
     dt=st.floats(1e-3, 2.0),
 )
-def test_herding_step_matches_mask_formula(agents, ed, dt):
+def test_herding_step_matches_mask_formula(agents, eds, dt):
     sigma, threshold, frac = (np.array(col) for col in zip(*agents))
     pop = HerdingPopulation(sigma, threshold * frac, threshold)
-    before = [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)]
-    want_sigma, want_pressure = mask_step(pop, ed, dt)
-    nxt = herding_step(pop, ed, dt)
-    assert nxt.sigma.tobytes() == want_sigma.tobytes()
-    assert nxt.pressure.tobytes() == want_pressure.tobytes()
-    assert nxt.threshold.tobytes() == before[2]
-    assert [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)] == before
-    assert not (nxt.sigma.flags.writeable or nxt.pressure.flags.writeable)
-    assert population_excess_demand(nxt) == float(nxt.sigma.mean())
+    assert population_excess_demand(pop) == float(pop.sigma.mean())
+    for ed in eds:
+        before = [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)]
+        want_sigma, want_pressure = mask_step(pop, ed, dt)
+        nxt = herding_step(pop, ed, dt)
+        assert nxt.sigma.tobytes() == want_sigma.tobytes()
+        assert nxt.pressure.tobytes() == want_pressure.tobytes()
+        assert nxt.threshold.tobytes() == before[2]
+        assert [arr.tobytes() for arr in (pop.sigma, pop.pressure, pop.threshold)] == before
+        assert not (nxt.sigma.flags.writeable or nxt.pressure.flags.writeable)
+        assert population_excess_demand(nxt) == float(nxt.sigma.mean())  # the carried sum
+        pop = nxt

@@ -16,11 +16,13 @@ class TestPriceRule:
             PriceRule(noise="garch")
 
     def test_builtin_forms(self):
+        # from log price 0.0, eta = 0.0 leaves the drift F and ed = 0.0 the noise G
         rule = PriceRule(gamma=2.0, noise="constant", sigma0=3.0)
-        assert rule.drift(1.5, 0.25) == 2.0 * 0.25 * 1.5
-        assert rule.noise_amplitude(1.5, 0.25) == 3.0 * 0.5
+        assert price_step(0.0, 1.5, 0.25, rule, eta=0.0) == 2.0 * 0.25 * 1.5
+        assert price_step(0.0, 0.0, 0.25, rule, eta=1.0) == 3.0 * 0.5
+        assert price_step(0.1, 1.5, 0.25, rule, eta=-0.3) == 0.1 + 2.0 * 0.25 * 1.5 + 3.0 * 0.5 * -0.3
         prop = PriceRule(noise="proportional", delta=2.0)
-        assert prop.noise_amplitude(-1.5, 4.0) == 2.0 * 2.0 * 1.5
+        assert price_step(0.0, -1.5, 4.0, prop, eta=1.0) == 2.0 * 2.0 * 1.5
 
 
 class TestPriceStep:

@@ -107,6 +107,14 @@ class TestSkewness:
         with pytest.raises(DegenerateSample, match=r"^variance .* underflows to 0 at power "
                                                     r"1\.5: skewness undefined$"):
             skewness([0.0, 0.0, 0.0, 1e-160])
+        # and the other end: the squares overflow, so var is inf (it read nan)
+        with pytest.raises(DegenerateSample, match=r"^variance inf overflows at power "
+                                                   r"1\.5: skewness undefined$"):
+            skewness([1e200, -1e200, 0.0])
+        # var**1.5 is finite, but the cube of the deviation 1e103 is not
+        with pytest.raises(DegenerateSample, match=r"^variance 2\.37\d*e\+204 overflows at "
+                                                   r"power 1\.5: skewness undefined$"):
+            skewness([1e103] + [0.0] * 40)
 
     def test_variance_cubed_is_subnormal(self):
         # var ** 1.5 is 8e-323: m3 / var ** 1.5 read 1.1875 where it is 2/sqrt(3)
@@ -149,6 +157,10 @@ class TestExcessKurtosis:
         with pytest.raises(DegenerateSample, match=r"^variance .* underflows to 0 at power "
                                                     r"2\.0: kurtosis undefined$"):
             excess_kurtosis([0.0, 0.0, 0.0, 1e-100])
+        # var is 5e199 and its square overflows (a float power raised OverflowError)
+        with pytest.raises(DegenerateSample, match=r"^variance 5e\+199 overflows at power "
+                                                   r"2\.0: kurtosis undefined$"):
+            excess_kurtosis([1e100, -1e100, 0.0, 1.0])
 
     def test_variance_squared_is_subnormal(self):
         # var ** 2 is 3.5e-322: m4 / var ** 2 - 3 read -0.66197 where it is -2/3
@@ -392,6 +404,17 @@ def assert_same(new, old):
         np.testing.assert_array_equal(np.frombuffer(new[3]), np.frombuffer(old[3]))
 
 
+def assert_same_moment(new, old):
+    """``assert_same``, except where the old formula overflowed (it raised
+    OverflowError or gave a result that is not finite): there the shared
+    kernel raises DegenerateSample naming the overflow."""
+    if old[:2] == ("raises", OverflowError) or (
+            old[0] != "raises" and not np.isfinite(np.frombuffer(old[3])).all()):
+        assert new[:2] == ("raises", DegenerateSample) and " overflows at power " in new[2]
+    else:
+        assert_same(new, old)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 samples = st.one_of(
     st.lists(finite, max_size=40),
@@ -406,8 +429,8 @@ def test_shared_kernels_match_the_separate_formulas(x, lags, max_lag):
     x = np.array(x, dtype=float)
     for lag in lags:
         assert_same(outcome(autocorrelation, x, lag), outcome(old_autocorrelation, x, lag))
-    assert_same(outcome(skewness, x), outcome(old_skewness, x))
-    assert_same(outcome(excess_kurtosis, x), outcome(old_excess_kurtosis, x))
+    assert_same_moment(outcome(skewness, x), outcome(old_skewness, x))
+    assert_same_moment(outcome(excess_kurtosis, x), outcome(old_excess_kurtosis, x))
     expected = outcome(old_acf_profile, x, max_lag)
     if max_lag >= 1 and x.size - max_lag < 2:  # too long: the largest lag is named
         expected = ("raises", LagTooLarge,
@@ -713,6 +736,12 @@ class TestFullReport:
         assert d["AutoCorr 10"] == autocorrelation(r, 10)
         assert d["Skew"] == skewness(r)
         assert list(d) == stats.report_rows((100, 10, 50), stats.DEFAULT_TAIL_FRACTION)
+
+    def test_cell_errors_on_an_overflowing_sample(self):
+        d = full_report([1e100, -1e100, 0.0, 1.0], lags=(1,), cell_errors=True)
+        assert str(d["Excess Kurtosis"]) == "variance 5e+199 overflows at power 2.0: kurtosis undefined"
+        assert isinstance(d["Excess Kurtosis"], DegenerateSample)
+        assert d["Skew"] == skewness([1e100, -1e100, 0.0, 1.0])
 
     def test_cell_errors_on_a_constant_sample(self):
         d = full_report(np.zeros(500), lags=(10, 20), cell_errors=True)
