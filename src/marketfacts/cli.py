@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import ingest, sim, stats, timeseries
-from .errors import MarketFactsError, SchemaError
+from .errors import MarketFactsError, SchemaError, UnwritableOutput
 from .output import write_columns, write_json, write_table
 
 # upper bound of ``figures --bins``; each bin is one row of histogram.csv
@@ -129,24 +129,30 @@ def cmd_analyze(args) -> int:
             raise SchemaError(f"label {label!r} names both {paths[label]} and {path}")
         paths[label] = path
 
-    columns = {}  # column name -> {stat row -> value or error string} or {"error": ...}
+    # read every source before the first statistic: OpenBLAS's helper thread
+    # busy-waits for CPU after each long threaded dot, and reads in between keep it spinning
+    series = {}  # column name -> its returns, or {"error": ...} for a source without them
     # the flags are the defaults that an entry's own keys override
     defaults = {"price_column": args.price_column, "from_date": args.from_date,
                 "to_date": args.to_date}
     for label, path, read_args in sources:
         names = [f"{label} ({kind})" for kind in KINDS]
         try:
-            prices = ingest.read_prices(path, **{**defaults, **read_args})
-            raw = timeseries.log_returns(prices)
-            series = (raw, timeseries.absolute_returns(raw))
+            raw = timeseries.log_returns(ingest.read_prices(path, **{**defaults, **read_args}))
         except MarketFactsError as exc:  # a source without returns fails both columns
-            columns.update(dict.fromkeys(names, {"error": _describe(exc)}))
+            series.update(dict.fromkeys(names, {"error": _describe(exc)}))
             continue
-        for name, returns in zip(names, series):
-            report = stats.full_report(returns, lags=args.lags,
-                                       tail_fraction=args.tail_fraction, cell_errors=True)
-            columns[name] = {row: _describe(value) if isinstance(value, MarketFactsError)
-                             else value for row, value in report.items()}
+        series.update(zip(names, (raw, timeseries.absolute_returns(raw))))
+
+    columns = {}  # column name -> {stat row -> value or error string} or {"error": ...}
+    for name, returns in series.items():
+        if isinstance(returns, dict):
+            columns[name] = returns
+            continue
+        report = stats.full_report(returns, lags=args.lags,
+                                   tail_fraction=args.tail_fraction, cell_errors=True)
+        columns[name] = {row: _describe(value) if isinstance(value, MarketFactsError)
+                         else value for row, value in report.items()}
 
     col_names = list(columns)
     rows = [["Statistic"] + col_names]
@@ -248,6 +254,16 @@ def cmd_figures(args) -> int:
     return 0
 
 
+def _check_out_dir(path) -> None:
+    """Raise ``UnwritableOutput`` if ``path`` or its nearest existing ancestor
+    is not a directory.  It creates nothing; the writers do that."""
+    probe = path
+    while probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe or "."):
+        raise UnwritableOutput(f"{path}: {probe} is not a directory")
+
+
 _COMMANDS = {
     "analyze": cmd_analyze,
     "simulate": cmd_simulate,
@@ -259,6 +275,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a bad --out-dir fails before anything is read or simulated
+        _check_out_dir(args.out_dir)
         return _COMMANDS[args.subcommand](args)
     except MarketFactsError as exc:
         print(_describe(exc), file=sys.stderr)

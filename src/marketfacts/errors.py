@@ -68,6 +68,10 @@ class UnreadableFile(MarketFactsError):
     """An input file is missing or cannot be opened."""
 
 
+class UnwritableOutput(MarketFactsError):
+    """An output directory or file cannot be created or written."""
+
+
 class InvalidWindow(MarketFactsError, ValueError):
     """A date-window bound is not a YYYY-MM-DD date, or the window starts
     after it ends."""

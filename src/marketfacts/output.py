@@ -8,11 +8,13 @@
 * JSON: ``indent=2``, sorted keys and a trailing newline.
 
 Nothing here depends on the clock, so the same data give the same bytes.
-Each writer creates the file's directory.
+Each writer creates the file's directory, and an ``OSError`` from creating
+it or from writing the file ends as an ``UnwritableOutput`` naming the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -20,10 +22,17 @@ import os
 
 import numpy as np
 
+from .errors import UnwritableOutput
 
+
+@contextlib.contextmanager
 def _create(path):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise UnwritableOutput(f"{exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def write_columns(path, header, *columns) -> None:

@@ -287,6 +287,46 @@ class TestAnalyze:
         error = {"error": "InsufficientData: need at least 2 prices for returns, got 1"}
         assert doc["single (raw)"] == doc["single (absolute)"] == error
 
+    def test_reads_every_source_before_the_first_report(self, tmp_path, monkeypatch):
+        events = []  # ("read", path) and ("report", returns), in call order
+        read_prices, full_report = ingest.read_prices, stats.full_report
+
+        def reading(path, *args, **kwargs):
+            events.append(("read", path))
+            return read_prices(path, *args, **kwargs)
+
+        def reporting(returns, *args, **kwargs):
+            events.append(("report", returns))
+            return full_report(returns, *args, **kwargs)
+
+        good, good2 = tmp_path / "good.csv", tmp_path / "good2.csv"
+        missing, single = tmp_path / "missing.csv", tmp_path / "single.csv"
+        write_price_csv(good, n=500)
+        write_price_csv(good2, n=300, seed=1)
+        write_price_csv(single, n=1)  # one usable price: no returns
+        expected = []  # the reported series, in column order
+        for src in (good, good2):
+            raw = timeseries.log_returns(read_prices(str(src)))
+            expected += [raw, timeseries.absolute_returns(raw)]
+        monkeypatch.setattr(ingest, "read_prices", reading)
+        monkeypatch.setattr(stats, "full_report", reporting)
+        sources = [str(good), str(missing), str(good2), str(single)]
+        out = tmp_path / "out"
+        assert main(["analyze", *(arg for src in sources for arg in ("--input", src)),
+                     "--out-dir", str(out)]) == 0
+
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["read"] * 4 + ["report"] * 4
+        assert [path for kind, path in events if kind == "read"] == sources
+        reported = [returns for kind, returns in events if kind == "report"]
+        assert all(np.array_equal(a, b) for a, b in zip(reported, expected, strict=True))
+        with open(out / "table.csv", newline="") as fh:
+            header = next(csv.reader(fh))[1:]
+        assert header == [f"{label} ({kind})" for label in ("good", "missing", "good2", "single")
+                          for kind in ("raw", "absolute")]
+        # table.json holds the same columns under its sorted keys
+        assert list(json.loads((out / "table.json").read_text())) == sorted(header)
+
     def test_price_ratio_past_the_float_range_is_analyzed(self, tmp_path):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         write_price_csv(good, n=200)
@@ -384,6 +424,38 @@ def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--input", "{src}"],
+    ["simulate", "--config", "{cfg}"],
+    ["ensemble", "--config", "{cfg}", "--replications", "2"],
+    ["figures", "--config", "{cfg}"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_out_dir_that_cannot_be_a_directory_fails_first(tmp_path, capsys, monkeypatch,
+                                                         command, below):
+    src, cfg = tmp_path / "gauss.csv", write_config(tmp_path / "cfg.json")
+    write_price_csv(src, n=200)
+    work = []  # every file read and every run, which the check must come before
+
+    def spy(name):
+        def record(*args, **kwargs):
+            work.append(name)
+            raise AssertionError(f"{name} called")
+        return record
+
+    monkeypatch.setattr(ingest, "_read_text", spy("read"))
+    monkeypatch.setattr(sim, "run_simulation", spy("run_simulation"))
+    monkeypatch.setattr(sim, "run_ensemble", spy("run_ensemble"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "out" if below else blocker
+    argv = [arg.format(src=src, cfg=cfg) for arg in command]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"UnwritableOutput: {out}: {blocker} is not a directory\n"
+    assert work == []
+    assert blocker.read_text() == "not a directory"
 
 
 # a price cell: any positive float (subnormals too), or one that ingest skips

@@ -2,13 +2,17 @@
 writes files."""
 
 import ast
+import errno
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import marketfacts
-from marketfacts.output import write_columns
+from marketfacts import output
+from marketfacts.errors import UnwritableOutput
+from marketfacts.output import write_columns, write_json, write_table
 
 PACKAGE = Path(marketfacts.__file__).parent
 
@@ -25,6 +29,32 @@ def test_write_columns_exact_text(tmp_path):
         b"2,5e-324,4611686018427387904\n"
         b"3,1e+16,0\n"
     )
+
+
+def test_directory_that_cannot_be_made_names_its_path(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(UnwritableOutput) as exc:
+        write_json(blocker / "out" / "doc.json", {})
+    assert str(exc.value) == f"{blocker / 'out'}: Not a directory"
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_columns(path, ("x",), [0.5]),
+    lambda path: write_table(path, [["a"]]),
+    lambda path: write_json(path, {}),
+], ids=["columns", "table", "json"])
+def test_failed_write_names_its_file(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(output, "open", lambda *args, **kwargs: _FullDisk(), raising=False)
+    path = tmp_path / "f.csv"
+    with pytest.raises(UnwritableOutput) as exc:
+        write(path)
+    assert str(exc.value) == f"{path}: No space left on device"
 
 
 def _file_writes(tree):
