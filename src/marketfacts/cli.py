@@ -229,7 +229,10 @@ def cmd_figures(args) -> int:
         prices = ingest.read_prices(args.input, column, args.from_date, args.to_date)
         raw = timeseries.log_returns(prices)
     else:
-        raw = sim.run_simulation(_load_config(args)).returns
+        config = _load_config(args)
+        # the lag is checked before the run, so a lag too long fails at once
+        stats.check_lag(args.max_lag, config.steps - config.burn_in)
+        raw = sim.run_simulation(config).returns
     absolute = timeseries.absolute_returns(raw)
 
     # every figure is computed before the first file is written, so a

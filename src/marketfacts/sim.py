@@ -8,9 +8,10 @@ of an ensemble uses ``seed + r``.  All stochastic draws come from the run's
 single stream in this fixed order:
 
 * initialization (cross_herding): position signs, then thresholds;
-* each step: the demand supplier's draws, then the price noise eta (always
-  drawn).  The FW supplier draws its additive noise and the cross supplier
-  its ED perturbation, each only when its std is > 0.
+* each step: the model's own normal, then the price noise eta (always
+  drawn).  fw_two_agent draws its additive demand noise only when
+  ``fw.noise_std`` > 0, and cross_herding the perturbation of its herding
+  signal only when ``herding.ed_noise_std`` > 0.
 
 Standard normals come from the stream in blocks of ``NORMAL_BLOCK``, drawn
 as the run needs them.  A block holds exactly the values, in exactly the
@@ -222,75 +223,70 @@ def _allocating(field: str, size: int):
 def _normals(rng: np.random.Generator):
     """Callable returning the next standard normal of ``rng``, which it draws
     in blocks of NORMAL_BLOCK as they are needed."""
-    blocks = iter(lambda: rng.standard_normal(NORMAL_BLOCK).tolist(), None)
-    return itertools.chain.from_iterable(blocks).__next__
+    blocks = map(rng.standard_normal, itertools.repeat(NORMAL_BLOCK))
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
 
 
-def _fw_demand(fw: FWParams, initial_log_price: float):
-    """Franke-Westerhoff supplier: the mean of fundamentalist and chartist
-    demand plus additive noise."""
-    prev = initial_log_price  # no invented pre-history: initial chartist demand 0
+def _fw_prices(config: RunConfig, rng: np.random.Generator):
+    """Franke-Westerhoff log prices S_1, S_2, ...: each step the mean of
+    fundamentalist and chartist demand plus additive noise moves the price."""
+    fw, dt, rule = config.fw, config.dt, config.price_rule
+    normal = _normals(rng)
     noisy = fw.noise_std > 0.0
-
-    def excess_demand(k: int, log_price: float, normal) -> float:
-        nonlocal prev
+    s = prev = config.initial_log_price  # no invented pre-history: initial chartist demand 0
+    for k in range(config.steps):
         a_k, b_k = fw.weights_at(k)
-        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), log_price)
-        ed_c = chartist_demand(b_k, log_price, prev)
-        noise_draw = normal() if noisy else 0.0
-        prev = log_price
-        return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
-
-    return excess_demand
+        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), s)
+        ed_c = chartist_demand(b_k, s, prev)
+        ed = franke_westerhoff_ED(ed_c, ed_f, fw, normal() if noisy else 0.0)
+        prev, s = s, price_step(s, ed, dt, rule, normal())
+        yield s
 
 
-def _cross_demand(h: HerdingConfig, dt: float, rng: np.random.Generator, diagnostics: dict):
-    """Cross herding supplier: the mean position of a threshold-herding
-    population, which then takes one herding step of size ``dt``; counts
-    flips in ``diagnostics``."""
+def _cross_prices(config: RunConfig, rng: np.random.Generator, diagnostics: dict):
+    """Cross herding log prices S_1, S_2, ...: each step the mean position of
+    a threshold-herding population is the excess demand; the population
+    takes one herding step of size dt on it, then the price moves.  Once the
+    last price is taken, records the flips in ``diagnostics``."""
+    h, dt, rule = config.herding, config.dt, config.price_rule
     with _allocating("herding.n_agents", h.n_agents):
         pop = HerdingPopulation.random(
             h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
         )
-    diagnostics.update(switch_count=0, n_agents=h.n_agents)
+    normal = _normals(rng)
     noisy = h.ed_noise_std > 0.0
-
-    def excess_demand(k: int, log_price: float, normal) -> float:
-        nonlocal pop
+    s, switches = config.initial_log_price, 0
+    for _ in range(config.steps):
         ed = population_excess_demand(pop)
         ed_env = ed + h.ed_noise_std * normal() if noisy else ed
         new_pop = herding_step(pop, ed_env, dt)
-        diagnostics["switch_count"] += switch_count(pop, new_pop)
+        switches += switch_count(pop, new_pop)
         pop = new_pop
-        return ed
-
-    return excess_demand
+        s = price_step(s, ed, dt, rule, normal())
+        yield s
+    diagnostics.update(switch_count=switches, n_agents=h.n_agents)
 
 
 def run_simulation(config: RunConfig) -> SimOutput:
     """Run one seeded simulation and return its trajectory and returns.
 
-    The model gives a demand supplier ``excess_demand(k, log_price, normal)
-    -> ed``, built once per run, which may keep state between steps and take
-    standard normals from ``normal()``.  Each step k asks it for the
-    aggregated excess demand at log price S_k, then draws eta and applies
-    the price rule.
+    The model's function yields the log prices S_1, ..., S_steps in order;
+    a :class:`NumericalBlowup` it raises at step k (the step from S_k to
+    S_{k+1}) is named with k and the seed.
     """
     rng = np.random.default_rng(config.seed)
     diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
     with _allocating("steps", config.steps):
         log_prices = np.empty(config.steps + 1)
-    s = log_prices[0] = config.initial_log_price
+    log_prices[0] = config.initial_log_price
     if config.model == FW_TWO_AGENT:
-        excess_demand = _fw_demand(config.fw, config.initial_log_price)
+        prices = _fw_prices(config, rng)
     else:
-        excess_demand = _cross_demand(config.herding, config.dt, rng, diagnostics)
-    normal = _normals(rng)
-    dt, rule = config.dt, config.price_rule
+        prices = _cross_prices(config, rng, diagnostics)
+    k = 0  # S_k is the last price stored, so step k is under way
     try:
-        for k in range(config.steps):
-            ed = excess_demand(k, s, normal)
-            s = log_prices[k + 1] = price_step(s, ed, dt, rule, normal())
+        for k, s in enumerate(prices, 1):
+            log_prices[k] = s
     except NumericalBlowup as exc:
         exc.step_index = k
         exc.args = (f"{exc} at step {k} (seed {config.seed})",)
@@ -330,8 +326,11 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     """
     check_ensemble(config, replications, workers)
     jobs = [(config, r) for r in range(replications)]
-    # a worker beyond one per replication would only start and sit idle
-    workers = min(workers, replications)
+    # a worker beyond one per replication or per usable CPU would only start
+    # and wait, and the pool starts all of its workers at once
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, replications, cpus)
     if workers == 1:
         return [_run_replication(job) for job in jobs]
     # imported here: the pool machinery (multiprocessing, sockets, logging)

@@ -753,7 +753,9 @@ class TestEnsemble:
         assert err.endswith(" underflows to 0 at power 1.5: skewness undefined\n")
         assert not out.exists() or not list(out.iterdir())
 
-    def test_pool_capped_at_replications(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The sizes of the pools opened; each runs its jobs in this process."""
         opened = []
 
         class InlinePool:
@@ -772,10 +774,30 @@ class TestEnsemble:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return opened
+
+    def test_pool_capped_at_replications(self, tmp_path, monkeypatch, opened):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
         cfg = write_config(tmp_path / "cfg.json", steps=400)
         assert main(["ensemble", "--config", str(cfg), "--replications", "2",
                      "--workers", "8", "--out-dir", str(tmp_path / "out")]) == 0
         assert opened == [2]
+
+    @pytest.mark.parametrize("cpus, pools", [({0, 2, 5}, [3]), ({1}, []), (None, [4])],
+                             ids=["affinity", "one_cpu", "cpu_count"])
+    def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch, opened, cpus, pools):
+        # None: a platform without sched_getaffinity, where os.cpu_count() counts
+        monkeypatch.setattr(os, "cpu_count", lambda: 4 if cpus is None else 64)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        cfg = write_config(tmp_path / "cfg.json", steps=400)
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--replications", "5",
+                     "--workers", "8", "--out-dir", str(out)]) == 0
+        assert opened == pools
+        assert len(list(out.glob("rep*_logprices.csv"))) == 5
 
 
 class TestFigures:
@@ -849,6 +871,18 @@ class TestFigures:
                      "--out-dir", str(tmp_path / "out")]) == 1
         # 20 steps less the default burn-in of 2 leave 18 returns
         assert capsys.readouterr().err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
+
+    def test_too_long_max_lag_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(sim, "run_simulation", lambda config: runs.append(config))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FW_CONFIG, "steps": 20}))
+        out = tmp_path / "out"
+        assert main(["figures", "--config", str(cfg), "--max-lag", "100",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "LagTooLarge: lag 100 needs at least 102 points, got 18\n"
+        assert runs == []
+        assert not out.exists()
 
     def test_huge_max_lag_fails_before_building_lags(self, tmp_path, capsys):
         max_lag = 10**20  # too many lags for any list

@@ -1,17 +1,30 @@
 import codecs
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from marketfacts.agents import FWParams
+from marketfacts.agents import (
+    FWParams,
+    chartist_demand,
+    franke_westerhoff_ED,
+    fundamentalist_demand,
+)
 from marketfacts.cli import main
 from marketfacts.errors import ConfigError, NumericalBlowup, SchemaError, UnreadableFile
-from marketfacts.environment import HerdingPopulation, herding_step
+from marketfacts.environment import (
+    HerdingPopulation,
+    herding_step,
+    population_excess_demand,
+    switch_count,
+)
 from marketfacts.market import PriceRule, price_step
 from marketfacts.sim import (
     CROSS_HERDING,
@@ -283,6 +296,14 @@ class TestRunSimulation:
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"NumericalBlowup: {message}\n"
         assert not out.exists()
+        # cross herding: a fast market maker overshoots the herd's demand
+        cross = cross_herding_defaults(seed=3, steps=2000)
+        cross = replace(cross, herding=replace(cross.herding, n_agents=50),
+                        price_rule=PriceRule(gamma=1000.0, noise="proportional", delta=0.03))
+        with pytest.raises(NumericalBlowup) as e:
+            run_simulation(cross)
+        assert e.value.step_index == 206
+        assert str(e.value) == "log price -711.9858567758046 out of range at step 206 (seed 3)"
 
 
 class TestRunEnsemble:
@@ -359,9 +380,9 @@ class TestWriteSimOutput:
 
 _WALK = np.cumsum(np.random.default_rng(5).normal(0.0, 0.01, 500)).tolist()
 
-# (config, SHA-256 of log_prices.tobytes(), diagnostics), one row per kind
-# of demand supplier and per number of normals it draws a step; recorded
-# while every normal was a single draw
+# (config, SHA-256 of log_prices.tobytes(), diagnostics), one row per model
+# and per number of normals it draws a step; recorded while every normal
+# was a single draw
 REFERENCE_RUNS = {
     "fw": (
         fw_config(),
@@ -420,3 +441,138 @@ def test_first_steps_do_not_depend_on_steps(name):
     short, long = (run_simulation(replace(config, steps=steps, burn_in=None))
                    for steps in (300, 300 + NORMAL_BLOCK + 7))
     assert short.log_prices[:301].tobytes() == long.log_prices[:301].tobytes()
+
+
+# The loop that run_simulation ran while both models went through one price
+# loop, kept as the oracle of the bits: each model built a demand function
+# excess_demand(k, log_price, normal) -> ed once per run, and each step k
+# asked it for the excess demand at S_k, then drew eta and applied the rule.
+def _oracle_normals(rng):
+    blocks = iter(lambda: rng.standard_normal(NORMAL_BLOCK).tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__
+
+
+def _oracle_fw_demand(fw, initial_log_price):
+    prev = initial_log_price
+    noisy = fw.noise_std > 0.0
+
+    def excess_demand(k, log_price, normal):
+        nonlocal prev
+        a_k, b_k = fw.weights_at(k)
+        ed_f = fundamentalist_demand(a_k, fw.fundamental_at(k), log_price)
+        ed_c = chartist_demand(b_k, log_price, prev)
+        noise_draw = normal() if noisy else 0.0
+        prev = log_price
+        return franke_westerhoff_ED(ed_c, ed_f, fw, noise_draw)
+
+    return excess_demand
+
+
+def _oracle_cross_demand(h, dt, rng, diagnostics):
+    pop = HerdingPopulation.random(h.n_agents, rng,
+                                   threshold_band=(h.threshold_min, h.threshold_max))
+    diagnostics.update(switch_count=0, n_agents=h.n_agents)
+    noisy = h.ed_noise_std > 0.0
+
+    def excess_demand(k, log_price, normal):
+        nonlocal pop
+        ed = population_excess_demand(pop)
+        ed_env = ed + h.ed_noise_std * normal() if noisy else ed
+        new_pop = herding_step(pop, ed_env, dt)
+        diagnostics["switch_count"] += switch_count(pop, new_pop)
+        pop = new_pop
+        return ed
+
+    return excess_demand
+
+
+def _oracle_run(config):
+    """(log_prices, diagnostics) of the demand-function loop."""
+    rng = np.random.default_rng(config.seed)
+    diagnostics = {"model": config.model, "steps": config.steps, "blowup": None}
+    log_prices = np.empty(config.steps + 1)
+    s = log_prices[0] = config.initial_log_price
+    if config.model == FW_TWO_AGENT:
+        excess_demand = _oracle_fw_demand(config.fw, config.initial_log_price)
+    else:
+        excess_demand = _oracle_cross_demand(config.herding, config.dt, rng, diagnostics)
+    normal = _oracle_normals(rng)
+    dt, rule = config.dt, config.price_rule
+    try:
+        for k in range(config.steps):
+            ed = excess_demand(k, s, normal)
+            s = log_prices[k + 1] = price_step(s, ed, dt, rule, normal())
+    except NumericalBlowup as exc:
+        exc.step_index = k
+        exc.args = (f"{exc} at step {k} (seed {config.seed})",)
+        raise
+    return log_prices, diagnostics
+
+
+def _outcome(run, config):
+    """The log-price bytes and diagnostics of a run, or where and how it blew up."""
+    try:
+        log_prices, diagnostics = run(config)
+    except NumericalBlowup as exc:
+        return "blowup", exc.step_index, str(exc)
+    return log_prices.tobytes(), diagnostics
+
+
+def _price_rules():
+    return st.builds(PriceRule, gamma=st.sampled_from([0.0, 0.5, 1.0, 3.0, 1000.0]),
+                     noise=st.sampled_from(["constant", "proportional"]),
+                     sigma0=st.floats(0.0, 0.5), delta=st.floats(0.0, 0.5))
+
+
+@st.composite
+def _fw_configs(draw):
+    steps = draw(st.integers(1, 150))
+
+    def per_step(values):  # a constant, or a schedule at least as long as the run
+        return draw(values | st.lists(values, min_size=steps, max_size=steps + 3))
+
+    fw = FWParams(a=per_step(st.floats(0.0, 2.0)), b=per_step(st.floats(0.0, 4.0)),
+                  log_fundamental=per_step(st.floats(-1.0, 1.0)),
+                  noise_std=draw(st.sampled_from([0.0, 0.01, 0.3])))
+    return RunConfig(model=FW_TWO_AGENT, steps=steps, dt=draw(st.sampled_from([0.01, 0.1, 1.0])),
+                     seed=draw(st.integers(0, 2**64 - 1)), price_rule=draw(_price_rules()),
+                     initial_log_price=draw(st.sampled_from([0.0, -0.0, 0.25])), fw=fw)
+
+
+@st.composite
+def _cross_configs(draw):
+    low = draw(st.floats(0.05, 2.0))
+    herding = HerdingConfig(n_agents=draw(st.integers(1, 40)), threshold_min=low,
+                            threshold_max=low + draw(st.sampled_from([0.0, 0.5, 1.0])),
+                            ed_noise_std=draw(st.sampled_from([0.0, 0.1, 1.0])))
+    return RunConfig(model=CROSS_HERDING, steps=draw(st.integers(1, 150)),
+                     dt=draw(st.sampled_from([0.02, 0.1, 1.0])),
+                     seed=draw(st.integers(0, 2**64 - 1)), price_rule=draw(_price_rules()),
+                     herding=herding)
+
+
+_LONG_FW = fw_config(steps=NORMAL_BLOCK // 2 + 50)  # two normals a step
+_LONG_CROSS = replace(cross_herding_defaults(seed=9, steps=NORMAL_BLOCK // 2 + 50),
+                      herding=HerdingConfig(n_agents=20))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(config=st.one_of(_fw_configs(), _cross_configs()))
+@example(config=_LONG_FW)
+@example(config=replace(_LONG_FW, steps=NORMAL_BLOCK + 50,  # one normal a step
+                        fw=FWParams(a=1.0, b=0.5, noise_std=0.0)))
+@example(config=_LONG_CROSS)
+@example(config=replace(_LONG_CROSS, herding=HerdingConfig(n_agents=20, ed_noise_std=0.0)))
+@example(config=config_from_dict({  # the FW blowup pinned above
+    "model": FW_TWO_AGENT, "steps": 500, "dt": 1.0, "seed": 3,
+    "price_rule": {"gamma": 1.0, "noise": "constant", "sigma0": 0.01},
+    "fw": {"a": 0.0, "b": 3.0}}))
+@example(config=replace(cross_herding_defaults(seed=3, steps=2000),  # the cross blowup
+                        herding=HerdingConfig(n_agents=50),
+                        price_rule=PriceRule(gamma=1000.0, noise="proportional", delta=0.03)))
+def test_model_loops_match_the_demand_function_loop(config):
+    def run(config):
+        out = run_simulation(config)
+        return out.log_prices, out.diagnostics
+
+    assert _outcome(run, config) == _outcome(_oracle_run, config)
