@@ -81,11 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tail-fraction", type=_fraction, default=stats.DEFAULT_TAIL_FRACTION)
     analyze.add_argument("--price-column", default="Open")
     analyze.add_argument("--out-dir", required=True)
+    analyze.set_defaults(run=cmd_analyze)
 
     simulate = sub.add_parser("simulate", help="one seeded simulation run")
     simulate.add_argument("--config", required=True, metavar="JSON")
     simulate.add_argument("--seed", type=int, help="override the config seed")
     simulate.add_argument("--out-dir", required=True)
+    simulate.set_defaults(run=cmd_simulate)
 
     ensemble = sub.add_parser("ensemble", help="replicated runs + summary stats")
     ensemble.add_argument("--config", required=True, metavar="JSON")
@@ -94,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--workers", type=_positive_int, default=1)
     ensemble.add_argument("--lags", type=_parse_lags, default=stats.DEFAULT_LAGS)
     ensemble.add_argument("--out-dir", required=True)
+    ensemble.set_defaults(run=cmd_ensemble)
 
     figures = sub.add_parser("figures", help="histogram/qq/ACF data files")
-    figures.add_argument("--input", metavar="CSV", help="price file to analyze")
-    figures.add_argument("--config", metavar="JSON", help="or simulate fresh returns")
+    source = figures.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="CSV", help="price file to analyze")
+    source.add_argument("--config", metavar="JSON", help="or simulate fresh returns")
     figures.add_argument("--seed", type=int, help="override the config seed (--config only)")
     figures.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD", help="--input only")
     figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD", help="--input only")
@@ -105,7 +109,24 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--max-lag", type=_positive_int, default=100)
     figures.add_argument("--bins", type=_bin_count, default=200)
     figures.add_argument("--out-dir", required=True)
+    figures.set_defaults(run=cmd_figures)
     return parser
+
+
+def _usage_error(args) -> str | None:
+    """The usage rule beyond the parser's own that ``args`` breaks, or None."""
+    if args.subcommand == "analyze" and not args.input and args.manifest is None:
+        return "analyze: need --input and/or --manifest"
+    if args.subcommand == "figures":
+        if args.input is not None:
+            source, unused = "--input", {"--seed": args.seed}
+        else:
+            source, unused = "--config", {"--from": args.from_date, "--to": args.to_date,
+                                          "--price-column": args.price_column}
+        given = [flag for flag, value in unused.items() if value is not None]
+        if given:
+            return f"figures: {', '.join(given)} not used with {source}"
+    return None
 
 
 def _cell(value) -> str:
@@ -118,11 +139,8 @@ def _describe(exc: MarketFactsError) -> str:
 
 def cmd_analyze(args) -> int:
     sources = [(os.path.splitext(os.path.basename(path))[0], path, {}) for path in args.input]
-    if args.manifest:
+    if args.manifest is not None:
         sources.extend(ingest.load_manifest(args.manifest))
-    if not sources:
-        print("analyze: need --input and/or --manifest", file=sys.stderr)
-        return 2
     paths = {}  # label -> path; a label names the table's columns
     for label, path, _ in sources:
         if label in paths:
@@ -212,19 +230,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    if bool(args.input) == bool(args.config):
-        print("figures: need exactly one of --input / --config", file=sys.stderr)
-        return 2
-    if args.input:
-        source, unused = "--input", {"--seed": args.seed}
-    else:
-        source, unused = "--config", {"--from": args.from_date, "--to": args.to_date,
-                                      "--price-column": args.price_column}
-    given = [flag for flag, value in unused.items() if value is not None]
-    if given:
-        print(f"figures: {', '.join(given)} not used with {source}", file=sys.stderr)
-        return 2
-    if args.input:
+    if args.input is not None:
         column = "Open" if args.price_column is None else args.price_column
         prices = ingest.read_prices(args.input, column, args.from_date, args.to_date)
         raw = timeseries.log_returns(prices)
@@ -267,20 +273,16 @@ def _check_out_dir(path) -> None:
         raise UnwritableOutput(f"{path}: {probe} is not a directory")
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "ensemble": cmd_ensemble,
-    "figures": cmd_figures,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    usage_error = _usage_error(args)
+    if usage_error is not None:
+        parser.error(usage_error)  # exits 2, as the parser's own checks do
     try:
         # a bad --out-dir fails before anything is read or simulated
         _check_out_dir(args.out_dir)
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except MarketFactsError as exc:
         print(_describe(exc), file=sys.stderr)
         return 1

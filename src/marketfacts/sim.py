@@ -301,21 +301,16 @@ def run_simulation(config: RunConfig) -> SimOutput:
     )
 
 
-def _run_replication(args) -> SimOutput:
-    config, r = args
-    return run_simulation(replace(config, seed=config.seed + r))
-
-
 def check_ensemble(config: RunConfig, replications: int, workers: int) -> None:
     """Raise :class:`ConfigError` for an ensemble that cannot start."""
     if replications < 1:
-        raise ConfigError("replications must be >= 1", field="replications")
+        raise ConfigError("must be >= 1", field="replications")
     last_seed = config.seed + replications - 1
     if last_seed >= 2**64:
         raise ConfigError(f"replication {replications - 1} would run with seed {last_seed}, "
                           "which is not a 64-bit unsigned integer", field="seed")
     if workers < 1:
-        raise ConfigError("workers must be >= 1", field="workers")
+        raise ConfigError("must be >= 1", field="workers")
 
 
 def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list[SimOutput]:
@@ -325,20 +320,20 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     so parallel and sequential execution are interchangeable.
     """
     check_ensemble(config, replications, workers)
-    jobs = [(config, r) for r in range(replications)]
+    configs = [replace(config, seed=config.seed + r) for r in range(replications)]
     # a worker beyond one per replication or per usable CPU would only start
     # and wait, and the pool starts all of its workers at once
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(workers, replications, cpus)
     if workers == 1:
-        return [_run_replication(job) for job in jobs]
+        return [run_simulation(c) for c in configs]
     # imported here: the pool machinery (multiprocessing, sockets, logging)
     # would otherwise load with every command
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_replication, jobs))
+        return list(pool.map(run_simulation, configs))
 
 
 def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:

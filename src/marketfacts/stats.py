@@ -142,10 +142,8 @@ def _check_variance(squares: float, n: int, name: str) -> None:
 
 
 def _acf(series, lags) -> list[float]:
-    """C(l) for each l in ``lags`` from one deviation pass; checks the largest lag first."""
+    """C(l) for each l in ``lags``, each passed by :func:`check_lag`, from one deviation pass."""
     x = np.asarray(series, dtype=float)
-    for lag in sorted(lags, reverse=True):
-        check_lag(lag, x.size)
     d = x - x.mean()
     denom = float(np.dot(d, d))
     _check_variance(denom, x.size, "autocorrelation")
@@ -154,6 +152,7 @@ def _acf(series, lags) -> list[float]:
 
 def autocorrelation(series, lag: int) -> float:
     """Sample autocorrelation C(l) with full-sample mean and denominator."""
+    check_lag(lag, np.size(series))
     return _acf(series, [lag])[0]
 
 
@@ -161,7 +160,7 @@ def acf_profile(series, max_lag: int) -> np.ndarray:
     """Autocorrelation at every lag 1..max_lag, in lag order."""
     if max_lag < 1:
         return np.array([])
-    check_lag(max_lag, np.size(series))  # before a list of max_lag lags is built
+    check_lag(max_lag, np.size(series))  # covers every smaller lag, before they are listed
     return np.array(_acf(series, range(1, max_lag + 1)))
 
 

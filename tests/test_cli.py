@@ -217,18 +217,20 @@ class TestAnalyze:
         assert [col["error"].startswith(f"SchemaError: {binary}: not UTF-8 text")
                 for col in doc.values()] == [True, True]
 
-    @pytest.mark.parametrize("text", [
-        "2000-01-01,100.0\n2000-01-02,101.0\n",
-        "Date;Open\n2000-01-01;100.0\n2000-01-02;101.0\n",
-    ], ids=["headerless", "semicolons"])
-    def test_file_without_date_column_fails(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("data, message", [
+        (b"2000-01-01,100.0\n2000-01-02,101.0\n", "column 'Date' not in header"),
+        (b"Date;Open\n2000-01-01;100.0\n2000-01-02;101.0\n", "column 'Date' not in header"),
+        (b"", "empty file, no header"),
+        (codecs.BOM_UTF8, "empty file, no header"),
+    ], ids=["headerless", "semicolons", "empty", "byte_order_mark_only"])
+    def test_file_without_date_column_fails(self, tmp_path, capsys, data, message):
         src = tmp_path / "raw.csv"
-        src.write_text(text)
+        src.write_bytes(data)
         out = tmp_path / "out"
         assert main(["analyze", "--input", str(src), "--out-dir", str(out)]) == 1
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads((out / "table.json").read_text())
-        assert [col["error"].startswith(f"SchemaError: {src}: column 'Date' not in header")
+        assert [col["error"].startswith(f"SchemaError: {src}: {message}")
                 for col in doc.values()] == [True, True]
 
     def test_non_utf8_file_fails_only_its_columns(self, tmp_path):
@@ -384,8 +386,17 @@ class TestAnalyze:
             assert ((tmp_path / "marked" / "out" / name).read_bytes()
                     == (tmp_path / "plain" / "out" / name).read_bytes())
 
-    def test_requires_some_input(self, tmp_path):
-        assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
+    def test_requires_some_input(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        # a usage error comes before the --out-dir check
+        for out in (tmp_path / "out", blocker):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--out-dir", str(out)])
+            assert exc.value.code == 2
+            assert "analyze: need --input and/or --manifest" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert blocker.read_text() == "not a directory"
 
     def test_custom_lags_and_tail_fraction(self, tmp_path):
         src = tmp_path / "gauss.csv"
@@ -414,6 +425,7 @@ class TestAnalyze:
     (["analyze", "--lags", "10,10,5"], "--lags"),
     (["figures", "--bins", "100001"], "--bins"),
     (["figures", "--bins", "100000000"], "--bins"),
+    (["analyze", "--tail-fraction", "abc"], "--tail-fraction"),
 ])
 def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     src = tmp_path / "gauss.csv"
@@ -828,8 +840,27 @@ class TestFigures:
         central = pairs[int(0.005 * n): int(0.995 * n)]
         assert np.max(np.abs(central[:, 0] - central[:, 1])) < 1e-2
 
-    def test_requires_exactly_one_source(self, tmp_path):
-        assert main(["figures", "--out-dir", str(tmp_path)]) == 2
+    def test_requires_exactly_one_source(self, tmp_path, capsys):
+        cfg, src = write_config(tmp_path / "cfg.json"), tmp_path / "p.csv"
+        write_price_csv(src, n=200)
+        out = tmp_path / "out"
+        both = "argument --config: not allowed with argument --input"
+        for sources, message in [
+            ([], "one of the arguments --input --config is required"),
+            (["--input", str(src), "--config", str(cfg)], both),
+            (["--input", "", "--config", str(cfg)], both),
+            (["--config", str(cfg), "--input", str(src)],
+             "argument --input: not allowed with argument --config"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["figures", *sources, "--out-dir", str(out)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"marketfacts figures: error: {message}\n")
+        assert not out.exists()
+        # an empty --input is one source, a file that cannot be read
+        assert main(["figures", "--input", "", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "UnreadableFile: : No such file or directory\n"
+        assert not out.exists()
 
     def test_input_takes_window_and_price_column(self, tmp_path):
         src = tmp_path / "p.csv"
@@ -849,11 +880,16 @@ class TestFigures:
     def test_flag_the_source_ignores_is_usage_error(self, tmp_path, capsys, source, flag, value):
         paths = {"--config": write_config(tmp_path / "cfg.json"), "--input": tmp_path / "p.csv"}
         write_price_csv(paths["--input"], n=200)
-        out = tmp_path / "out"
-        assert main(["figures", source, str(paths[source]), flag, value,
-                     "--out-dir", str(out)]) == 2
-        assert f"figures: {flag} not used with {source}" in capsys.readouterr().err
-        assert not out.exists()
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        # a usage error comes before the --out-dir check
+        for out in (tmp_path / "out", blocker):
+            with pytest.raises(SystemExit) as exc:
+                main(["figures", source, str(paths[source]), flag, value, "--out-dir", str(out)])
+            assert exc.value.code == 2
+            assert f"figures: {flag} not used with {source}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert blocker.read_text() == "not a directory"
 
     def test_failure_writes_no_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -31,6 +31,8 @@ class TestHerdingPopulation:
     def test_empty_rejected(self):
         with pytest.raises(NoAgents):
             HerdingPopulation([], [], [])
+        with pytest.raises(NoAgents, match="^population size must be >= 1, got 0$"):
+            HerdingPopulation.random(0, np.random.default_rng(0))
 
     def test_invalid_fields(self):
         with pytest.raises(ValueError, match="every sigma must be -1 or \\+1"):

@@ -188,6 +188,9 @@ BAD_CONFIGS = [
     (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw", "every b value must be >= 0"),
     ({"model": "custom", "steps": 10}, "model", "unknown model 'custom'"),
     (_fw_doc(price_rule={"delta": -1.0}), "price_rule", "delta must be >= 0, got -1.0"),
+    (_fw_doc(herding={"threshold_min": 3}), "herding.threshold_min",
+     r"invalid band \[3\.0, 2\.0\]$"),
+    (_fw_doc(burn_in=-1), "burn_in", "must be >= 0$"),
 ]
 
 
@@ -330,12 +333,13 @@ class TestRunEnsemble:
             assert a.diagnostics == b.diagnostics
 
     def test_rejects_zero_replications(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^replications: must be >= 1$") as e:
             run_ensemble(fw_config(), 0)
+        assert e.value.field == "replications"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ConfigError, match="workers must be >= 1") as e:
+        with pytest.raises(ConfigError, match="^workers: must be >= 1$") as e:
             run_ensemble(fw_config(), 2, workers=workers)
         assert e.value.field == "workers"
 

@@ -326,6 +326,13 @@ class TestAcfProfile:
         with pytest.raises(LagTooLarge, match=r"^lag 100 needs at least 102 points, got 18$"):
             acf_profile(np.arange(18.0), 100)
 
+    def test_checks_only_the_largest_lag(self, monkeypatch):
+        checked = []
+        check = stats.check_lag
+        monkeypatch.setattr(stats, "check_lag", lambda lag, n: checked.append(lag) or check(lag, n))
+        acf_profile(np.random.default_rng(16).normal(size=500), 100)
+        assert checked == [100]  # every smaller lag leaves more overlapping points
+
     @pytest.mark.parametrize("x", [np.arange(18.0), np.ones(5), np.array([])])
     def test_no_lags(self, x):
         profile = acf_profile(x, 0)

@@ -50,6 +50,10 @@ class TestPriceSeries:
         with pytest.raises(InvalidPrice):
             PriceSeries(dates=dates, prices=[1.0, 2.0])
 
+    def test_rejects_dates_that_are_not_dates(self):
+        with pytest.raises(InvalidPrice, match="^date entry '2000-01-03' is not a datetime.date$"):
+            PriceSeries(dates=("2000-01-03",), prices=[1.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidPrice):
             PriceSeries(dates=(dt.date(2010, 1, 1),), prices=[1.0, 2.0])
