@@ -8,6 +8,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import ConfigError
+
 PerStep = Union[float, Sequence[float]]
 
 
@@ -38,14 +40,14 @@ class FWParams:
 
     def __post_init__(self):
         if not self.noise_std >= 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise ConfigError(f"must be >= 0, got {self.noise_std}", field="fw.noise_std")
         for name in ("a", "b", "log_fundamental"):
             value = _per_step(getattr(self, name))
             values = np.asarray(value)
             if not np.isfinite(values).all():
-                raise ValueError(f"every {name} value must be finite")
+                raise ConfigError("every value must be finite", field=f"fw.{name}")
             if name != "log_fundamental" and (values < 0.0).any():
-                raise ValueError(f"every {name} value must be >= 0")
+                raise ConfigError("every value must be >= 0", field=f"fw.{name}")
             object.__setattr__(self, name, value)
 
     def weights_at(self, step: int) -> tuple[float, float]:

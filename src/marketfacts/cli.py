@@ -264,8 +264,10 @@ def cmd_figures(args) -> int:
 
 
 def _check_out_dir(path) -> None:
-    """Raise ``UnwritableOutput`` if ``path`` or its nearest existing ancestor
-    is not a directory.  It creates nothing; the writers do that."""
+    """Raise ``UnwritableOutput`` if ``path`` is empty, or it or its nearest
+    existing ancestor is not a directory.  It creates nothing; the writers do that."""
+    if not path:
+        raise UnwritableOutput(f"--out-dir {path!r} names no directory")
     probe = path
     while probe and not os.path.exists(probe):
         probe = os.path.dirname(probe)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalBlowup
+from .errors import ConfigError, NumericalBlowup
 
 # guard before exp() overflows when converting log price back to price
 LOG_PRICE_LIMIT = 700.0
@@ -32,9 +32,9 @@ class PriceRule:
         for name in ("gamma", "sigma0", "delta"):
             value = getattr(self, name)
             if not value >= 0.0:  # also true for NaN
-                raise ValueError(f"{name} must be >= 0, got {value}")
+                raise ConfigError(f"must be >= 0, got {value}", field=f"price_rule.{name}")
         if self.noise not in (CONSTANT, PROPORTIONAL):
-            raise ValueError(f"unknown noise spec {self.noise!r}")
+            raise ConfigError(f"unknown noise spec {self.noise!r}", field="price_rule.noise")
 
 
 def price_step(log_price: float, ed: float, dt: float, rule: PriceRule, eta: float) -> float:

@@ -50,7 +50,7 @@ from .environment import (
 )
 from .errors import ConfigError, NumericalBlowup
 from .ingest import read_json
-from .market import PriceRule, price_step
+from .market import LOG_PRICE_LIMIT, PriceRule, price_step
 from .output import write_columns, write_json
 
 FW_TWO_AGENT = "fw_two_agent"
@@ -113,6 +113,9 @@ class RunConfig:
             raise ConfigError("must be > 0", field="dt")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("must be a 64-bit unsigned integer", field="seed")
+        if not abs(self.initial_log_price) <= LOG_PRICE_LIMIT:  # also true for NaN
+            raise ConfigError(f"must be in [{-LOG_PRICE_LIMIT}, {LOG_PRICE_LIMIT}], "
+                              f"got {self.initial_log_price}", field="initial_log_price")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", self.steps // 10)
         if self.burn_in < 0:
@@ -180,10 +183,7 @@ def _from_dict(cls, doc, path: str = ""):
             kwargs[f.name] = _from_json(hints[f.name], doc[f.name], key)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError("required", field=key)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=path or None) from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -7,6 +7,7 @@ from marketfacts.agents import (
     franke_westerhoff_ED,
     fundamentalist_demand,
 )
+from marketfacts.errors import ConfigError
 from marketfacts.market import PriceRule, price_step
 
 
@@ -70,12 +71,14 @@ class TestFrankeWesterhoffED:
         assert params.weights_at(1) == (2.0, 4.0)
 
     def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^fw\.noise_std: must be >= 0, got -0\.5$") as e:
             FWParams(noise_std=-0.5)
+        assert e.value.field == "fw.noise_std"
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="every b value must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^fw\.b: every value must be >= 0$") as e:
             FWParams(b=-1.0)
+        assert e.value.field == "fw.b"
         # zero weights express single-agent-type markets
         assert FWParams(a=0.0, b=0.0).weights_at(0) == (0.0, 0.0)
 

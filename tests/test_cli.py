@@ -444,11 +444,18 @@ def test_bad_flag_is_usage_error(tmp_path, capsys, argv, flag):
     ["ensemble", "--config", "{cfg}", "--replications", "2"],
     ["figures", "--config", "{cfg}"],
 ], ids=lambda command: command[0])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("out_dir, message", [
+    ("{blocker}", "{blocker}: {blocker} is not a directory"),
+    ("{blocker}/out", "{blocker}/out: {blocker} is not a directory"),
+    ("", "--out-dir '' names no directory"),
+], ids=["file", "below_file", "empty"])
 def test_out_dir_that_cannot_be_a_directory_fails_first(tmp_path, capsys, monkeypatch,
-                                                         command, below):
+                                                         command, out_dir, message):
     src, cfg = tmp_path / "gauss.csv", write_config(tmp_path / "cfg.json")
     write_price_csv(src, n=200)
+    cwd = tmp_path / "cwd"  # where an empty --out-dir would write
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     work = []  # every file read and every run, which the check must come before
 
     def spy(name):
@@ -462,12 +469,12 @@ def test_out_dir_that_cannot_be_a_directory_fails_first(tmp_path, capsys, monkey
     monkeypatch.setattr(sim, "run_ensemble", spy("run_ensemble"))
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    out = blocker / "out" if below else blocker
     argv = [arg.format(src=src, cfg=cfg) for arg in command]
-    assert main([*argv, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"UnwritableOutput: {out}: {blocker} is not a directory\n"
+    assert main([*argv, "--out-dir", out_dir.format(blocker=blocker)]) == 1
+    assert capsys.readouterr().err == f"UnwritableOutput: {message.format(blocker=blocker)}\n"
     assert work == []
     assert blocker.read_text() == "not a directory"
+    assert list(cwd.iterdir()) == []
 
 
 # a price cell: any positive float (subnormals too), or one that ingest skips

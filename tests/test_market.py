@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from marketfacts.errors import NumericalBlowup
+from marketfacts.errors import ConfigError, NumericalBlowup
 from marketfacts.market import PriceRule, price_step
 
 
 class TestPriceRule:
     def test_rejects_negative_parameters(self):
-        for kwargs in ({"gamma": -1.0}, {"sigma0": -0.1}, {"delta": -2.0}):
-            with pytest.raises(ValueError):
-                PriceRule(**kwargs)
+        for name, value in (("gamma", -1.0), ("sigma0", -0.1), ("delta", -2.0)):
+            with pytest.raises(ConfigError, match=f": must be >= 0, got {value}$") as e:
+                PriceRule(**{name: value})
+            assert e.value.field == f"price_rule.{name}"
 
     def test_rejects_unknown_noise_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=": unknown noise spec 'garch'$") as e:
             PriceRule(noise="garch")
+        assert e.value.field == "price_rule.noise"
 
     def test_builtin_forms(self):
         # from log price 0.0, eta = 0.0 leaves the drift F and ed = 0.0 the noise G

@@ -1,14 +1,19 @@
-"""Every Python code block of README.md runs as written, and README names
-every package of the test extra."""
+"""Every Python code block of README.md runs as written, its config
+examples load, and README names every package of the test extra."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+from marketfacts.agents import FWParams
+from marketfacts.sim import config_from_dict, cross_herding_defaults
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.DOTALL | re.MULTILINE)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.DOTALL | re.MULTILINE)
+JSON_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, flags=re.DOTALL | re.MULTILINE)
 
 
 def test_readme_has_python_blocks():
@@ -20,10 +25,18 @@ def test_readme_block_runs(block):
     exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
 
 
+def test_readme_config_examples_load():
+    config, fw_section = JSON_BLOCKS
+    assert config_from_dict(json.loads(config)) == cross_herding_defaults(seed=0, steps=100_000)
+    # the fw example is a section, so it loads inside a two-agent config
+    fw = json.loads("{" + fw_section + "}")
+    assert config_from_dict({"model": "fw_two_agent", "steps": 3, **fw}).fw == FWParams(**fw["fw"])
+
+
 def test_readme_names_every_test_extra_package():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(README.parent / "pyproject.toml", "rb") as fh:
         extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
-    sentence = re.search(r"The test extra adds ([^.]*)\.", README.read_text(encoding="utf-8"))
+    sentence = re.search(r"The test extra adds ([^.]*)\.", TEXT)
     assert sentence is not None
     assert [name for name in extra if name not in sentence.group(1)] == []

@@ -185,12 +185,19 @@ BAD_CONFIGS = [
     (_fw_doc(herding={"ed_noise_std": math.nan}), "herding.ed_noise_std", "finite number"),
     (_fw_doc(fw={"a": [1.0] * 9}), "fw.a", "9 per-step values for 10 steps"),
     (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
-    (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw", "every b value must be >= 0"),
+    (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw.b", "every value must be >= 0$"),
     ({"model": "custom", "steps": 10}, "model", "unknown model 'custom'"),
-    (_fw_doc(price_rule={"delta": -1.0}), "price_rule", "delta must be >= 0, got -1.0"),
+    (_fw_doc(price_rule={"delta": -1.0}), "price_rule.delta", "must be >= 0, got -1.0$"),
     (_fw_doc(herding={"threshold_min": 3}), "herding.threshold_min",
      r"invalid band \[3\.0, 2\.0\]$"),
     (_fw_doc(burn_in=-1), "burn_in", "must be >= 0$"),
+    (_fw_doc(initial_log_price=800.0), "initial_log_price",
+     r"must be in \[-700\.0, 700\.0\], got 800\.0$"),
+    (_fw_doc(fw={"noise_std": -1}), "fw.noise_std", "must be >= 0, got -1.0$"),
+    (_fw_doc(fw={"a": -1}), "fw.a", "every value must be >= 0$"),
+    (_fw_doc(price_rule={"gamma": -1}), "price_rule.gamma", "must be >= 0, got -1.0$"),
+    (_fw_doc(price_rule={"sigma0": -1}), "price_rule.sigma0", "must be >= 0, got -1.0$"),
+    (_fw_doc(price_rule={"noise": "garch"}), "price_rule.noise", "unknown noise spec 'garch'$"),
 ]
 
 
@@ -210,22 +217,26 @@ def test_bad_config_names_field(doc, field, message, tmp_path, capsys):
 NAN = math.nan
 
 # (builder, error type, message fragment) of values the Python API must
-# reject; NaN passes a plain ``x < 0`` check
+# reject; NaN passes a plain ``x < 0`` check.  A ConfigError's fragment
+# starts with the dotted path of its field.
 BAD_API_VALUES = {
     "herding.ed_noise_std": (lambda: HerdingConfig(ed_noise_std=NAN), ConfigError,
                              "herding.ed_noise_std: must be >= 0"),
     "run.dt": (lambda: fw_config(dt=NAN), ConfigError, "dt: must be > 0"),
-    "rule.gamma": (lambda: PriceRule(gamma=NAN), ValueError, "gamma must be >= 0"),
-    "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ValueError, "sigma0 must be >= 0"),
-    "rule.delta": (lambda: PriceRule(delta=NAN), ValueError, "delta must be >= 0"),
-    "fw.noise_std": (lambda: FWParams(noise_std=NAN), ValueError, "noise_std must be >= 0"),
-    "fw.a_nan": (lambda: FWParams(a=NAN), ValueError, "every a value must be finite"),
-    "fw.a_negative": (lambda: FWParams(a=-1.0), ValueError, "every a value must be >= 0"),
-    "fw.b_inf": (lambda: FWParams(b=math.inf), ValueError, "every b value must be finite"),
-    "fw.b_schedule": (lambda: FWParams(b=[1.0, -0.5]), ValueError,
-                      "every b value must be >= 0"),
-    "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ValueError,
-                           "every log_fundamental value must be finite"),
+    "run.initial_log_price": (lambda: fw_config(initial_log_price=NAN), ConfigError,
+                              "initial_log_price: must be in "),
+    "rule.gamma": (lambda: PriceRule(gamma=NAN), ConfigError, "price_rule.gamma: must be >= 0"),
+    "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ConfigError,
+                    "price_rule.sigma0: must be >= 0"),
+    "rule.delta": (lambda: PriceRule(delta=NAN), ConfigError, "price_rule.delta: must be >= 0"),
+    "fw.noise_std": (lambda: FWParams(noise_std=NAN), ConfigError, "fw.noise_std: must be >= 0"),
+    "fw.a_nan": (lambda: FWParams(a=NAN), ConfigError, "fw.a: every value must be finite"),
+    "fw.a_negative": (lambda: FWParams(a=-1.0), ConfigError, "fw.a: every value must be >= 0"),
+    "fw.b_inf": (lambda: FWParams(b=math.inf), ConfigError, "fw.b: every value must be finite"),
+    "fw.b_schedule": (lambda: FWParams(b=[1.0, -0.5]), ConfigError,
+                      "fw.b: every value must be >= 0"),
+    "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ConfigError,
+                           "fw.log_fundamental: every value must be finite"),
     "state.dt": (lambda: price_step(0.0, 1.0, NAN, PriceRule(), 0.0), ValueError,
                  "dt must be > 0"),
     "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
@@ -244,8 +255,10 @@ BAD_API_VALUES = {
 @pytest.mark.parametrize("case", BAD_API_VALUES)
 def test_python_api_rejects_bad_numbers(case):
     build, error, message = BAD_API_VALUES[case]
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as e:
         build()
+    if error is ConfigError:
+        assert message.startswith(f"{e.value.field}: ")
 
 
 class TestRunSimulation:
