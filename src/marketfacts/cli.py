@@ -141,6 +141,8 @@ def cmd_analyze(args) -> int:
     sources = [(os.path.splitext(os.path.basename(path))[0], path, {}) for path in args.input]
     if args.manifest is not None:
         sources.extend(ingest.load_manifest(args.manifest))
+        if not sources:
+            raise SchemaError(f"{args.manifest}: manifest lists no source")
     paths = {}  # label -> path; a label names the table's columns
     for label, path, _ in sources:
         if label in paths:
@@ -183,10 +185,13 @@ def cmd_analyze(args) -> int:
     write_table(os.path.join(args.out_dir, "table.csv"), rows)
     write_json(os.path.join(args.out_dir, "table.json"), columns)
 
-    # a column fails when every one of its cells holds an error string
-    failed = [all(isinstance(cell, str) for cell in column.values())
-              for column in columns.values()]
-    return 1 if all(failed) else 0
+    # a column fails when every one of its cells holds an error string, and
+    # analyze fails when every column does
+    if any(not isinstance(cell, str) for column in columns.values() for cell in column.values()):
+        return 0
+    name, column = next(iter(columns.items()))
+    print(f"analyze: every column failed; {name}: {next(iter(column.values()))}", file=sys.stderr)
+    return 1
 
 
 def _load_config(args) -> sim.RunConfig:

@@ -9,11 +9,41 @@ agents stays fast.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAgents
+from .errors import ConfigError, NoAgents
 from .timeseries import _readonly
+
+
+@dataclass(frozen=True)
+class HerdingConfig:
+    """Environment parameters of the cross_herding model.
+
+    ``ed_noise_std`` perturbs the herding signal only (exogenous order
+    flow seen by the agents); the price responds to the population's true
+    aggregate position.  Without this perturbation the herding rule
+    freezes in full consensus.
+    """
+
+    n_agents: int = 1000
+    threshold_min: float = 1.0
+    threshold_max: float = 2.0
+    ed_noise_std: float = 1.0
+
+    def __post_init__(self):
+        if self.n_agents < 1:
+            raise ConfigError("must be >= 1", field="herding.n_agents")
+        if not self.threshold_max < math.inf:
+            raise ConfigError("must be finite", field="herding.threshold_max")
+        if not 0.0 < self.threshold_min <= self.threshold_max:
+            raise ConfigError(
+                f"invalid band [{self.threshold_min}, {self.threshold_max}]",
+                field="herding.threshold_min",
+            )
+        if not self.ed_noise_std >= 0.0:
+            raise ConfigError("must be >= 0", field="herding.ed_noise_std")
 
 
 class HerdingPopulation:
@@ -54,20 +84,15 @@ class HerdingPopulation:
         return pop
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator,
-               threshold_band: tuple[float, float] = (1.0, 2.0)) -> "HerdingPopulation":
-        """Uniform random signs, zero pressure, thresholds uniform in the band.
+    def random(cls, config: HerdingConfig, rng: np.random.Generator) -> "HerdingPopulation":
+        """Uniform random signs, zero pressure, thresholds uniform in the config's band.
 
         Draw order (signs first, then thresholds) is part of the
         reproducibility contract.
         """
-        if n < 1:
-            raise NoAgents(f"population size must be >= 1, got {n}")
-        lo, hi = threshold_band
-        if not 0.0 < lo <= hi < math.inf:
-            raise ValueError(f"invalid threshold band [{lo}, {hi}]")
+        n = config.n_agents
         sigma = rng.choice([-1.0, 1.0], size=n)
-        threshold = rng.uniform(lo, hi, size=n)
+        threshold = rng.uniform(config.threshold_min, config.threshold_max, size=n)
         return cls(sigma, np.zeros(n), threshold)
 
     def __len__(self) -> int:

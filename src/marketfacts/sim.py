@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
-import math
 import os
 import sys
 import typing
@@ -43,6 +42,7 @@ from .agents import (
     fundamentalist_demand,
 )
 from .environment import (
+    HerdingConfig,
     HerdingPopulation,
     herding_step,
     population_excess_demand,
@@ -59,35 +59,6 @@ CROSS_HERDING = "cross_herding"
 # standard normals per block drawn for a run; a block costs
 # O(NORMAL_BLOCK) memory however long the run
 NORMAL_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class HerdingConfig:
-    """Environment parameters of the cross_herding model.
-
-    ``ed_noise_std`` perturbs the herding signal only (exogenous order
-    flow seen by the agents); the price responds to the population's true
-    aggregate position.  Without this perturbation the herding rule
-    freezes in full consensus.
-    """
-
-    n_agents: int = 1000
-    threshold_min: float = 1.0
-    threshold_max: float = 2.0
-    ed_noise_std: float = 1.0
-
-    def __post_init__(self):
-        if self.n_agents < 1:
-            raise ConfigError("must be >= 1", field="herding.n_agents")
-        if not self.threshold_max < math.inf:
-            raise ConfigError("must be finite", field="herding.threshold_max")
-        if not 0.0 < self.threshold_min <= self.threshold_max:
-            raise ConfigError(
-                f"invalid band [{self.threshold_min}, {self.threshold_max}]",
-                field="herding.threshold_min",
-            )
-        if not self.ed_noise_std >= 0.0:
-            raise ConfigError("must be >= 0", field="herding.ed_noise_std")
 
 
 @dataclass(frozen=True)
@@ -203,10 +174,7 @@ def cross_herding_defaults(seed: int = 0, steps: int = 100_000) -> RunConfig:
         steps=steps,
         dt=0.02,
         seed=seed,
-        price_rule=PriceRule(gamma=0.0, noise="proportional", delta=0.03),
-        herding=HerdingConfig(
-            n_agents=1000, threshold_min=1.0, threshold_max=2.0, ed_noise_std=1.0
-        ),
+        price_rule=PriceRule(noise="proportional", delta=0.03),
     )
 
 
@@ -250,9 +218,7 @@ def _cross_prices(config: RunConfig, rng: np.random.Generator, diagnostics: dict
     last price is taken, records the flips in ``diagnostics``."""
     h, dt, rule = config.herding, config.dt, config.price_rule
     with _allocating("herding.n_agents", h.n_agents):
-        pop = HerdingPopulation.random(
-            h.n_agents, rng, threshold_band=(h.threshold_min, h.threshold_max)
-        )
+        pop = HerdingPopulation.random(h, rng)
     normal = _normals(rng)
     noisy = h.ed_noise_std > 0.0
     s, switches = config.initial_log_price, 0

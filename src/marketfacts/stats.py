@@ -158,7 +158,7 @@ def autocorrelation(series, lag: int) -> float:
 
 def acf_profile(series, max_lag: int) -> np.ndarray:
     """Autocorrelation at every lag 1..max_lag, in lag order."""
-    if max_lag < 1:
+    if max_lag == 0 and hasattr(max_lag, "__index__"):  # an integer 0 asks for no lag
         return np.array([])
     check_lag(max_lag, np.size(series))  # covers every smaller lag, before they are listed
     return np.array(_acf(series, range(1, max_lag + 1)))

@@ -95,7 +95,7 @@ class TestAnalyze:
         assert "EmptyWindow" in doc["bad (raw)"]["error"]
         assert "Skew" in doc["ok (raw)"]
 
-    def test_all_columns_fail(self, tmp_path):
+    def test_all_columns_fail(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         src = tmp_path / "gauss.csv"
         write_price_csv(src, n=100)
@@ -105,13 +105,37 @@ class TestAnalyze:
         rc = main(["analyze", "--manifest", str(manifest),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
+        error = json.loads((tmp_path / "out" / "table.json").read_text())["bad (raw)"]["error"]
+        assert error.startswith("EmptyWindow: ")
+        assert capsys.readouterr().err == f"analyze: every column failed; bad (raw): {error}\n"
+
+    def test_every_cell_failing_in_every_column_is_reported(self, tmp_path, capsys):
+        src = tmp_path / "three.csv"
+        write_price_csv(src, n=3)
+        assert main(["analyze", "--input", str(src), "--lags", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("analyze: every column failed; three (raw): "
+                                           "InsufficientData: need n >= 3 for skewness, got 2\n")
+        good = tmp_path / "good.csv"
+        write_price_csv(good, n=200)
+        assert main(["analyze", "--input", str(src), "--input", str(good), "--lags", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_empty_manifest_fails(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[]")
+        out = tmp_path / "out"
+        assert main(["analyze", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"SchemaError: {manifest}: manifest lists no source\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("window, message", [
         (["--from", "2000/01/01"], "InvalidWindow: from: '2000/01/01' is not a YYYY-MM-DD date"),
         (["--from", "2001-01-01", "--to", "2000-01-01"],
          "InvalidWindow: from: window start 2001-01-01 after end 2000-01-01"),
     ])
-    def test_bad_window_fails_every_column(self, tmp_path, window, message):
+    def test_bad_window_fails_every_column(self, tmp_path, capsys, window, message):
         src = tmp_path / "gauss.csv"
         write_price_csv(src, n=100)
         out = tmp_path / "out"
@@ -119,6 +143,7 @@ class TestAnalyze:
         assert rc == 1
         doc = json.loads((out / "table.json").read_text())
         assert [col["error"] for col in doc.values()] == [message, message]
+        assert capsys.readouterr().err == f"analyze: every column failed; gauss (raw): {message}\n"
 
     def test_bad_manifest_entries_fail_only_their_columns(self, tmp_path):
         src = tmp_path / "gauss.csv"

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketfacts.environment import (
+    HerdingConfig,
     HerdingPopulation,
     herding_step,
     population_excess_demand,
     switch_count,
 )
-from marketfacts.errors import NoAgents
+from marketfacts.errors import ConfigError, NoAgents
 
 
 def herding_oracle(agents, ed, dt):
@@ -31,8 +32,8 @@ class TestHerdingPopulation:
     def test_empty_rejected(self):
         with pytest.raises(NoAgents):
             HerdingPopulation([], [], [])
-        with pytest.raises(NoAgents, match="^population size must be >= 1, got 0$"):
-            HerdingPopulation.random(0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="^herding.n_agents: must be >= 1$"):
+            HerdingConfig(n_agents=0)
 
     def test_invalid_fields(self):
         with pytest.raises(ValueError, match="every sigma must be -1 or \\+1"):
@@ -54,16 +55,19 @@ class TestHerdingPopulation:
         assert not any(a.flags.writeable for a in (pop.sigma, pop.pressure, pop.threshold))
 
     def test_random_initialization(self):
-        pop = HerdingPopulation.random(500, np.random.default_rng(0), (1.0, 2.0))
+        pop = HerdingPopulation.random(HerdingConfig(500, 1.0, 2.0), np.random.default_rng(0))
         assert len(pop) == 500
         assert set(np.unique(pop.sigma)) == {-1.0, 1.0}
         assert np.all(pop.pressure == 0.0)
         assert np.all((pop.threshold >= 1.0) & (pop.threshold <= 2.0))
 
-    def test_random_invalid_band(self):
-        for band in [(0.0, 1.0), (1.0, math.inf), (1.0, math.nan)]:
-            with pytest.raises(ValueError, match="invalid threshold band"):
-                HerdingPopulation.random(10, np.random.default_rng(0), band)
+    def test_config_rejects_invalid_band(self):
+        for band, field in [((0.0, 1.0), "herding.threshold_min"),
+                            ((1.0, math.inf), "herding.threshold_max"),
+                            ((1.0, math.nan), "herding.threshold_max")]:
+            with pytest.raises(ConfigError, match=f"^{field}: ") as info:
+                HerdingConfig(10, *band)
+            assert info.value.field == field
 
 
 class TestPopulationExcessDemand:
@@ -95,7 +99,7 @@ class TestHerdingStep:
         assert nxt.pressure[0] == 0.0
 
     def test_zero_ed_is_identity(self):
-        pop = HerdingPopulation.random(100, np.random.default_rng(2))
+        pop = HerdingPopulation.random(HerdingConfig(n_agents=100), np.random.default_rng(2))
         nxt = herding_step(pop, ed=0.0, dt=1.0)
         np.testing.assert_array_equal(nxt.sigma, pop.sigma)
         np.testing.assert_array_equal(nxt.pressure, pop.pressure)
@@ -108,7 +112,8 @@ class TestHerdingStep:
 
     def test_pressure_strictly_increases_iff_minority(self):
         rng = np.random.default_rng(3)
-        pop = HerdingPopulation.random(200, rng, (5.0, 10.0))  # high thresholds: no switches
+        # high thresholds: no switches
+        pop = HerdingPopulation.random(HerdingConfig(200, 5.0, 10.0), rng)
         for ed in (-0.7, 0.0, 0.4):
             nxt = herding_step(pop, ed, dt=1.0)
             increased = nxt.pressure > pop.pressure
@@ -118,7 +123,7 @@ class TestHerdingStep:
 
     def test_conservation_and_sign_domain(self):
         rng = np.random.default_rng(4)
-        pop = HerdingPopulation.random(300, rng)
+        pop = HerdingPopulation.random(HerdingConfig(n_agents=300), rng)
         for _ in range(50):
             pop = herding_step(pop, float(rng.normal()), dt=0.5)
         assert len(pop) == 300
@@ -127,7 +132,7 @@ class TestHerdingStep:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
-        pop = HerdingPopulation.random(100, rng, (0.5, 2.0))
+        pop = HerdingPopulation.random(HerdingConfig(100, 0.5, 2.0), rng)
         agents = [(int(s), float(p), float(t))
                   for s, p, t in zip(pop.sigma, pop.pressure, pop.threshold)]
         eds = rng.normal(scale=0.8, size=1000)
@@ -142,7 +147,7 @@ class TestHerdingStep:
         eds = np.random.default_rng(6).normal(size=200)
 
         def trajectory():
-            pop = HerdingPopulation.random(50, np.random.default_rng(7))
+            pop = HerdingPopulation.random(HerdingConfig(n_agents=50), np.random.default_rng(7))
             states = []
             for ed in eds:
                 pop = herding_step(pop, float(ed), dt=1.0)
@@ -170,7 +175,7 @@ class TestHerdingStep:
     dt=st.floats(1e-3, 2.0),
 )
 def test_herding_invariants(seed, eds, dt):
-    pop = HerdingPopulation.random(50, np.random.default_rng(seed), (0.2, 1.5))
+    pop = HerdingPopulation.random(HerdingConfig(50, 0.2, 1.5), np.random.default_rng(seed))
     for ed in eds:
         nxt = herding_step(pop, ed, dt)
         assert set(np.unique(nxt.sigma)) <= {-1.0, 1.0}

@@ -1,6 +1,8 @@
 """The names ``import marketfacts`` exports, pinned so that adding or removing
-one is a deliberate change to this list."""
+one is a deliberate change to this list, and the module of each building
+block's config."""
 
+import dataclasses
 import types
 
 import marketfacts
@@ -31,3 +33,15 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_each_building_block_owns_its_config():
+    from marketfacts import agents, environment, market, sim
+
+    assert environment.HerdingConfig.__module__ == "marketfacts.environment"
+    assert agents.FWParams.__module__ == "marketfacts.agents"
+    assert market.PriceRule.__module__ == "marketfacts.market"
+    assert sim.HerdingConfig is environment.HerdingConfig  # old imports keep working
+    defined_in_sim = {name for name, value in vars(sim).items()
+                      if dataclasses.is_dataclass(value) and value.__module__ == sim.__name__}
+    assert defined_in_sim == {"RunConfig", "SimOutput"}

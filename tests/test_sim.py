@@ -486,8 +486,7 @@ def _oracle_fw_demand(fw, initial_log_price):
 
 
 def _oracle_cross_demand(h, dt, rng, diagnostics):
-    pop = HerdingPopulation.random(h.n_agents, rng,
-                                   threshold_band=(h.threshold_min, h.threshold_max))
+    pop = HerdingPopulation.random(h, rng)
     diagnostics.update(switch_count=0, n_agents=h.n_agents)
     noisy = h.ed_noise_std > 0.0
 

@@ -338,6 +338,16 @@ class TestAcfProfile:
         profile = acf_profile(x, 0)
         assert profile.shape == (0,) and profile.dtype == np.float64
 
+    @pytest.mark.parametrize("max_lag, error, message", [
+        (-3, LagTooLarge, "^lag must be >= 1, got -3$"),
+        (0.5, TypeError, "^lag must be an integer, got 0.5$"),
+        (1.5, TypeError, "^lag must be an integer, got 1.5$"),
+        (0.0, TypeError, "^lag must be an integer, got 0.0$"),
+    ], ids=["negative", "half", "one_and_a_half", "float_zero"])
+    def test_nonzero_or_non_integer_lag_is_checked(self, max_lag, error, message):
+        with pytest.raises(error, match=message):
+            acf_profile(np.random.default_rng(17).normal(size=50), max_lag)
+
 
 # The formulas as each statistic had its own body: the shared kernels must
 # give the same bits and the same errors.
