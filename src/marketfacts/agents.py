@@ -8,14 +8,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 
 PerStep = Union[float, Sequence[float]]
-
-
-def _per_step(value: PerStep) -> float | tuple[float, ...]:
-    """Store a constant-or-per-step parameter as a float or a tuple of floats."""
-    return float(value) if np.ndim(value) == 0 else tuple(map(float, value))
 
 
 def _at(value: float | tuple[float, ...], step: int) -> float:
@@ -39,16 +34,18 @@ class FWParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if not self.noise_std >= 0.0:
-            raise ConfigError(f"must be >= 0, got {self.noise_std}", field="fw.noise_std")
+        noise_std = finite_number(self.noise_std, "fw.noise_std")
+        if noise_std < 0.0:
+            raise ConfigError(f"must be >= 0, got {noise_std}", field="fw.noise_std")
+        object.__setattr__(self, "noise_std", noise_std)
         for name in ("a", "b", "log_fundamental"):
-            value = _per_step(getattr(self, name))
-            values = np.asarray(value)
-            if not np.isfinite(values).all():
-                raise ConfigError("every value must be finite", field=f"fw.{name}")
-            if name != "log_fundamental" and (values < 0.0).any():
-                raise ConfigError("every value must be >= 0", field=f"fw.{name}")
-            object.__setattr__(self, name, value)
+            value, field = getattr(self, name), f"fw.{name}"
+            value = value.tolist() if isinstance(value, np.ndarray) else value
+            schedule = isinstance(value, (list, tuple))
+            values = tuple(finite_number(v, field) for v in (value if schedule else [value]))
+            if name != "log_fundamental" and min(values, default=0.0) < 0.0:
+                raise ConfigError("every value must be >= 0", field=field)
+            object.__setattr__(self, name, values if schedule else values[0])
 
     def weights_at(self, step: int) -> tuple[float, float]:
         return _at(self.a, step), _at(self.b, step)

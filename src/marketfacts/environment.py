@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoAgents
+from .errors import ConfigError, NoAgents, finite_number, integer
 from .timeseries import _readonly
 
 
@@ -33,16 +33,17 @@ class HerdingConfig:
     ed_noise_std: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_agents", integer(self.n_agents, "herding.n_agents"))
+        for name in ("threshold_min", "threshold_max", "ed_noise_std"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"herding.{name}"))
         if self.n_agents < 1:
             raise ConfigError("must be >= 1", field="herding.n_agents")
-        if not self.threshold_max < math.inf:
-            raise ConfigError("must be finite", field="herding.threshold_max")
         if not 0.0 < self.threshold_min <= self.threshold_max:
             raise ConfigError(
                 f"invalid band [{self.threshold_min}, {self.threshold_max}]",
                 field="herding.threshold_min",
             )
-        if not self.ed_noise_std >= 0.0:
+        if self.ed_noise_std < 0.0:
             raise ConfigError("must be >= 0", field="herding.ed_noise_std")
 
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all marketfacts modules."""
+"""Exception hierarchy shared by all marketfacts modules, and the checks of config values."""
+
+import contextlib
+import math
+import numbers
 
 
 class MarketFactsError(Exception):
@@ -57,6 +61,22 @@ class ConfigError(MarketFactsError):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+def finite_number(value, field: str) -> float:
+    """``value``, a finite real number but not a bool, as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(number := float(value)):
+                return number
+    raise ConfigError(f"must be a finite number, got {value!r}", field=field)
+
+
+def integer(value, field: str) -> int:
+    """``value``, an integer but not a bool, as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"must be of type int, got {value!r}", field=field)
 
 
 class SchemaError(MarketFactsError):

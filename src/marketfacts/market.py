@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError, NumericalBlowup, finite_number
 
 # guard before exp() overflows when converting log price back to price
 LOG_PRICE_LIMIT = 700.0
@@ -30,9 +30,10 @@ class PriceRule:
 
     def __post_init__(self):
         for name in ("gamma", "sigma0", "delta"):
-            value = getattr(self, name)
-            if not value >= 0.0:  # also true for NaN
+            value = finite_number(getattr(self, name), f"price_rule.{name}")
+            if value < 0.0:
                 raise ConfigError(f"must be >= 0, got {value}", field=f"price_rule.{name}")
+            object.__setattr__(self, name, value)
         if self.noise not in (CONSTANT, PROPORTIONAL):
             raise ConfigError(f"unknown noise spec {self.noise!r}", field="price_rule.noise")
 

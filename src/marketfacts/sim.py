@@ -28,7 +28,6 @@ import contextlib
 import dataclasses
 import itertools
 import os
-import sys
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +35,6 @@ import numpy as np
 
 from .agents import (
     FWParams,
-    PerStep,
     chartist_demand,
     franke_westerhoff_ED,
     fundamentalist_demand,
@@ -48,7 +46,7 @@ from .environment import (
     population_excess_demand,
     switch_count,
 )
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError, NumericalBlowup, finite_number, integer
 from .ingest import read_json
 from .market import LOG_PRICE_LIMIT, PriceRule, price_step
 from .output import write_columns, write_json
@@ -78,17 +76,20 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in (FW_TWO_AGENT, CROSS_HERDING):
             raise ConfigError(f"unknown model {self.model!r}", field="model")
+        for name, check in (("steps", integer), ("dt", finite_number), ("seed", integer),
+                            ("initial_log_price", finite_number)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        burn_in = self.steps // 10 if self.burn_in is None else self.burn_in
+        object.__setattr__(self, "burn_in", integer(burn_in, "burn_in"))
         if self.steps < 1:
             raise ConfigError("must be >= 1", field="steps")
-        if not self.dt > 0.0:
+        if self.dt <= 0.0:
             raise ConfigError("must be > 0", field="dt")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("must be a 64-bit unsigned integer", field="seed")
-        if not abs(self.initial_log_price) <= LOG_PRICE_LIMIT:  # also true for NaN
+        if abs(self.initial_log_price) > LOG_PRICE_LIMIT:
             raise ConfigError(f"must be in [{-LOG_PRICE_LIMIT}, {LOG_PRICE_LIMIT}], "
                               f"got {self.initial_log_price}", field="initial_log_price")
-        if self.burn_in is None:
-            object.__setattr__(self, "burn_in", self.steps // 10)
         if self.burn_in < 0:
             raise ConfigError("must be >= 0", field="burn_in")
         if self.steps <= self.burn_in:
@@ -113,46 +114,21 @@ class SimOutput:
     seed: int
 
 
-def _finite(value, path: str) -> float:
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # the bound is false for NaN and, unlike float(), safe for huge ints
-    if is_number and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"must be a finite number, got {value!r}", field=path)
-
-
-def _from_json(hint, value, path: str):
-    """Check one JSON value against a field type and convert it."""
-    if dataclasses.is_dataclass(hint):
-        return _from_dict(hint, value, path)
-    if type(None) in typing.get_args(hint):  # Optional[X] is Union[X, None]
-        if value is None:
-            return None
-        hint, _ = typing.get_args(hint)
-    if hint == PerStep and isinstance(value, (list, tuple)):
-        return tuple(_finite(v, path) for v in value)
-    if hint in (float, PerStep):
-        return _finite(value, path)
-    # int or str; bool is an int subclass but not a JSON integer
-    if isinstance(value, hint) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"must be of type {hint.__name__}, got {value!r}", field=path)
-
-
 def _from_dict(cls, doc, path: str = ""):
-    """Build config dataclass ``cls`` from JSON object ``doc`` at dotted ``path``."""
+    """Build config dataclass ``cls`` from JSON object ``doc`` at dotted ``path``;
+    each config block checks the type and range of its own values."""
     if not isinstance(doc, dict):
         raise ConfigError("must be a JSON object", field=path or None)
-    fields, hints = dataclasses.fields(cls), typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
     unknown = set(doc) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)}", field=path or None)
-    kwargs = {}
+    kwargs = dict(doc)
     for f in fields:
         key = f"{path}.{f.name}" if path else f.name
-        if f.name in doc:
-            kwargs[f.name] = _from_json(hints[f.name], doc[f.name], key)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        if f.name in doc and dataclasses.is_dataclass(f.default_factory):  # a nested section
+            kwargs[f.name] = _from_dict(f.default_factory, doc[f.name], key)
+        elif f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError("required", field=key)
     return cls(**kwargs)
 
@@ -269,6 +245,7 @@ def run_simulation(config: RunConfig) -> SimOutput:
 
 def check_ensemble(config: RunConfig, replications: int, workers: int) -> None:
     """Raise :class:`ConfigError` for an ensemble that cannot start."""
+    replications, workers = integer(replications, "replications"), integer(workers, "workers")
     if replications < 1:
         raise ConfigError("must be >= 1", field="replications")
     last_seed = config.seed + replications - 1

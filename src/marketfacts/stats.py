@@ -168,15 +168,15 @@ def fit_power_decay(x, values) -> TailFit:
     """Least-squares fit of ln(value) against ln(x) over two equal-length
     1-D arrays, such as ``np.arange(1, L + 1)`` and ``acf_profile(r, L)``.
 
-    Only pairs with value > 0 and x > 0 enter the fit; the decay exponent
-    is the negated slope.
+    Only pairs with finite value > 0 and finite x > 0 enter the fit; the
+    decay exponent is the negated slope.
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ValueError(f"x and values must be 1-D arrays of equal length, "
                          f"got shapes {xs.shape} and {ys.shape}")
-    keep = (xs > 0.0) & (ys > 0.0)
+    keep = (0.0 < xs) & (xs < np.inf) & (0.0 < ys) & (ys < np.inf)
     if int(keep.sum()) < 5:
         raise InsufficientPositivePoints(
             f"only {int(keep.sum())} strictly positive points, need >= 5"

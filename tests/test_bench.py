@@ -7,6 +7,7 @@ renames or bypasses them fails here, not only in a traced benchmark run.
 the benchmark checks.
 """
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -30,3 +31,14 @@ def test_traced_smoke_run_is_clean(workload, trace):
     )
     assert proc.returncode == 0, proc.stderr
     assert '"failed": 0' in proc.stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the benchmark refuses hosts with fewer than 2 CPUs")
+def test_digest_gate_and_bare_checkout_refusal(monkeypatch):
+    """A tampered output and wrong stored digests fail the digest gate, and a
+    checkout without the sources refuses to run: ``bench/smoke.py``'s checks."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    smoke = importlib.import_module("smoke")
+    assert smoke.check_digest_gate() == []
+    assert smoke.check_refuses_without_sources() == []

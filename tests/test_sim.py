@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import math
+import re
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from marketfacts.environment import (
     switch_count,
 )
 from marketfacts.market import PriceRule, price_step
+from marketfacts.stats import acf_profile, mean_var
 from marketfacts.sim import (
     CROSS_HERDING,
     FW_TWO_AGENT,
@@ -221,22 +224,26 @@ NAN = math.nan
 # starts with the dotted path of its field.
 BAD_API_VALUES = {
     "herding.ed_noise_std": (lambda: HerdingConfig(ed_noise_std=NAN), ConfigError,
-                             "herding.ed_noise_std: must be >= 0"),
-    "run.dt": (lambda: fw_config(dt=NAN), ConfigError, "dt: must be > 0"),
+                             "herding.ed_noise_std: must be a finite number, got nan"),
+    "run.dt": (lambda: fw_config(dt=NAN), ConfigError, "dt: must be a finite number, got nan"),
     "run.initial_log_price": (lambda: fw_config(initial_log_price=NAN), ConfigError,
-                              "initial_log_price: must be in "),
-    "rule.gamma": (lambda: PriceRule(gamma=NAN), ConfigError, "price_rule.gamma: must be >= 0"),
+                              "initial_log_price: must be a finite number, got nan"),
+    "rule.gamma": (lambda: PriceRule(gamma=NAN), ConfigError,
+                   "price_rule.gamma: must be a finite number, got nan"),
     "rule.sigma0": (lambda: PriceRule(sigma0=NAN), ConfigError,
-                    "price_rule.sigma0: must be >= 0"),
-    "rule.delta": (lambda: PriceRule(delta=NAN), ConfigError, "price_rule.delta: must be >= 0"),
-    "fw.noise_std": (lambda: FWParams(noise_std=NAN), ConfigError, "fw.noise_std: must be >= 0"),
-    "fw.a_nan": (lambda: FWParams(a=NAN), ConfigError, "fw.a: every value must be finite"),
+                    "price_rule.sigma0: must be a finite number, got nan"),
+    "rule.delta": (lambda: PriceRule(delta=NAN), ConfigError,
+                   "price_rule.delta: must be a finite number, got nan"),
+    "fw.noise_std": (lambda: FWParams(noise_std=NAN), ConfigError,
+                     "fw.noise_std: must be a finite number, got nan"),
+    "fw.a_nan": (lambda: FWParams(a=NAN), ConfigError, "fw.a: must be a finite number, got nan"),
     "fw.a_negative": (lambda: FWParams(a=-1.0), ConfigError, "fw.a: every value must be >= 0"),
-    "fw.b_inf": (lambda: FWParams(b=math.inf), ConfigError, "fw.b: every value must be finite"),
+    "fw.b_inf": (lambda: FWParams(b=math.inf), ConfigError,
+                 "fw.b: must be a finite number, got inf"),
     "fw.b_schedule": (lambda: FWParams(b=[1.0, -0.5]), ConfigError,
                       "fw.b: every value must be >= 0"),
     "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ConfigError,
-                           "fw.log_fundamental: every value must be finite"),
+                           "fw.log_fundamental: must be a finite number, got nan"),
     "state.dt": (lambda: price_step(0.0, 1.0, NAN, PriceRule(), 0.0), ValueError,
                  "dt must be > 0"),
     "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
@@ -246,9 +253,9 @@ BAD_API_VALUES = {
     "population.threshold": (lambda: HerdingPopulation([1.0], [0.0], [NAN]), ValueError,
                              "thresholds must be > 0"),
     "herding.threshold_max": (lambda: HerdingConfig(threshold_max=math.inf), ConfigError,
-                              "herding.threshold_max: must be finite"),
+                              "herding.threshold_max: must be a finite number, got inf"),
     "herding.threshold_max_nan": (lambda: HerdingConfig(threshold_max=NAN), ConfigError,
-                                  "herding.threshold_max: must be finite"),
+                                  "herding.threshold_max: must be a finite number, got nan"),
 }
 
 
@@ -259,6 +266,85 @@ def test_python_api_rejects_bad_numbers(case):
         build()
     if error is ConfigError:
         assert message.startswith(f"{e.value.field}: ")
+
+
+def _number_fields():
+    """(block, JSON section, field name, integer?) for each number field of
+    each config block, read from the type hints."""
+    for cls, section in [(RunConfig, None), (PriceRule, "price_rule"), (FWParams, "fw"),
+                         (HerdingConfig, "herding")]:
+        for name, hint in typing.get_type_hints(cls).items():
+            kinds = typing.get_args(hint) or (hint,)  # Optional and per-step unions
+            if int in kinds or float in kinds:
+                yield cls, section, name, int in kinds
+
+
+NUMBER_FIELDS = list(_number_fields())
+
+
+@pytest.mark.parametrize("cls, section, name, is_int", NUMBER_FIELDS,
+                         ids=[f"{s or 'run'}.{n}" for _, s, n, _ in NUMBER_FIELDS])
+def test_every_number_field_checks_its_type(cls, section, name, is_int):
+    path = f"{section}.{name}" if section else name
+    message = f"^{re.escape(path)}: must be {'of type int' if is_int else 'a finite number'}, got "
+    run = {"model": FW_TWO_AGENT, "steps": 10}
+    for bad in [NAN, math.inf, -math.inf, True, "1", None, {"x": 1.0}] + [2.5] * is_int:
+        if section is None:
+            if name == "burn_in" and bad is None:  # null asks for the default
+                continue
+            doc, build = {**run, name: bad}, lambda: RunConfig(**{**run, name: bad})
+        else:
+            doc, build = {**run, section: {name: bad}}, lambda: cls(**{name: bad})
+        for make in (build, lambda: config_from_dict(doc)):
+            with pytest.raises(ConfigError, match=message) as e:
+                make()
+            assert e.value.field == path
+
+
+def test_number_fields_cover_every_block():
+    assert {(s, n) for _, s, n, _ in NUMBER_FIELDS} == {
+        (None, "steps"), (None, "dt"), (None, "seed"), (None, "initial_log_price"),
+        (None, "burn_in"), ("price_rule", "gamma"), ("price_rule", "sigma0"),
+        ("price_rule", "delta"), ("fw", "a"), ("fw", "b"), ("fw", "log_fundamental"),
+        ("fw", "noise_std"), ("herding", "n_agents"), ("herding", "threshold_min"),
+        ("herding", "threshold_max"), ("herding", "ed_noise_std")}
+
+
+@pytest.mark.parametrize("schedule, got", [
+    ([1.0, [2.0], 3.0], "[2.0]"), ([1.0, NAN], "nan"), ([1.0, "2"], "'2'"),
+    ([1.0, False], "False"), (np.ones((2, 2)), "[1.0, 1.0]"),
+], ids=["ragged", "nan", "string", "bool", "two_d"])
+def test_schedule_entries_are_checked(schedule, got):
+    message = f"^fw.a: must be a finite number, got {re.escape(got)}$"
+    for make in (lambda: FWParams(a=schedule),
+                 lambda: config_from_dict({"model": FW_TWO_AGENT, "steps": 3,
+                                           "fw": {"a": schedule}})):
+        with pytest.raises(ConfigError, match=message) as e:
+            make()
+        assert e.value.field == "fw.a"
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    config = RunConfig(
+        model=FW_TWO_AGENT, steps=np.int64(20), dt=np.float32(0.5), seed=np.uint64(7),
+        initial_log_price=np.float64(0.25), burn_in=np.int32(2),
+        price_rule=PriceRule(gamma=np.float32(1.0), sigma0=np.float16(0.5), delta=np.int8(0)),
+        fw=FWParams(a=np.float32(1.5), b=np.full(20, 0.5, dtype=np.float32),
+                    log_fundamental=np.array(0.25), noise_std=np.int64(0)),
+        herding=HerdingConfig(n_agents=np.int64(5), threshold_min=np.float32(1.0),
+                              threshold_max=np.int16(2), ed_noise_std=np.float64(0.5)))
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return [leaf for v in value.values() for leaf in leaves(v)]
+        return list(value) if isinstance(value, tuple) else [value]
+
+    doc = dataclasses.asdict(config)
+    types = {type(leaf) for leaf in leaves(doc)}
+    assert types == {str, int, float}
+    assert type(doc["steps"]) is int and type(doc["fw"]["noise_std"]) is float
+    assert doc["dt"] == 0.5 and doc["fw"]["log_fundamental"] == 0.25
+    assert config_from_dict(json.loads(json.dumps(doc))) == config
 
 
 class TestRunSimulation:
@@ -355,6 +441,15 @@ class TestRunEnsemble:
         with pytest.raises(ConfigError, match="^workers: must be >= 1$") as e:
             run_ensemble(fw_config(), 2, workers=workers)
         assert e.value.field == "workers"
+
+    @pytest.mark.parametrize("replications, workers, field", [
+        (2.5, 1, "replications"), (True, 1, "replications"), ("2", 1, "replications"),
+        (2, 1.5, "workers"), (2, None, "workers"),
+    ], ids=["float", "bool", "string", "float_workers", "none_workers"])
+    def test_counts_must_be_integers(self, replications, workers, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be of type int, got ") as e:
+            run_ensemble(cross_herding_defaults(steps=20), replications, workers=workers)
+        assert e.value.field == field
 
     def test_last_seed_must_fit_64_bits(self, tmp_path, capsys):
         top = 2**64 - 1
@@ -592,3 +687,68 @@ def test_model_loops_match_the_demand_function_loop(config):
         return out.log_prices, out.diagnostics
 
     assert _outcome(run, config) == _outcome(_oracle_run, config)
+
+
+# The linear FW market with constant a, b, F and constant noise is an AR(2)
+# in x = S - F (Franke & Westerhoff 2012; Box, Jenkins & Reinsel, ch. 3):
+# x_{k+1} = phi1 x_k + phi2 x_{k-1} + u_k with phi1 = 1 + gamma dt (b - a) / 2,
+# phi2 = -gamma dt b / 2 and Var u = (gamma dt noise_std)^2 + sigma0^2 dt.
+_AR2_GAMMA, _AR2_DT, _AR2_A, _AR2_NOISE_STD, _AR2_SIGMA0 = 1.0, 0.1, 1.0, 0.3, 0.05
+_AR2_LAGS, _AR2_STEPS = 10, 200_000
+
+
+def _ar2_config(b, seed, steps=_AR2_STEPS):
+    return RunConfig(model=FW_TWO_AGENT, steps=steps, dt=_AR2_DT, seed=seed,
+                     price_rule=PriceRule(gamma=_AR2_GAMMA, sigma0=_AR2_SIGMA0),
+                     fw=FWParams(a=_AR2_A, b=b, noise_std=_AR2_NOISE_STD))
+
+
+def _ar2_return_moments(b, terms=2000):
+    """Variance of the stationary x, and variance and ACF at lags
+    1.._AR2_LAGS of the returns x_{k+1} - x_k, with Bartlett's n * variance
+    of each sample ACF value and n * relative variance of the sample
+    variance (Gaussian innovations)."""
+    g = _AR2_GAMMA * _AR2_DT
+    phi1, phi2 = 1.0 + g * (b - _AR2_A) / 2.0, -g * b / 2.0
+    var_u = (g * _AR2_NOISE_STD) ** 2 + _AR2_SIGMA0**2 * _AR2_DT
+    rho = [1.0, phi1 / (1.0 - phi2)]  # Yule-Walker
+    while len(rho) < terms + 2 * _AR2_LAGS + 2:
+        rho.append(phi1 * rho[-1] + phi2 * rho[-2])
+    cov_x = var_u / (1.0 - phi1 * rho[1] - phi2 * rho[2]) * np.array(rho)
+    cov_x = np.concatenate([cov_x[:0:-1], cov_x])  # lags -m..m
+    mid = len(cov_x) // 2
+    cov_r = 2.0 * cov_x[1:-1] - cov_x[:-2] - cov_x[2:]  # lags -(m-1)..m-1
+    acf = cov_r[mid - 1:] / cov_r[mid - 1]  # lags 0..m-1
+
+    def r(j):
+        return acf[np.abs(j)]
+
+    j = np.arange(1, terms)
+    bartlett = np.array([np.sum((r(j + h) + r(j - h) - 2.0 * r(h) * r(j)) ** 2)
+                         for h in range(1, _AR2_LAGS + 1)])
+    var_of_var = 2.0 * (1.0 + 2.0 * np.sum(acf[j] ** 2))
+    return cov_x[mid], cov_r[mid - 1], acf[1:_AR2_LAGS + 1], bartlett, var_of_var
+
+
+# seeds fixed before any run; b = 0.8, 8 and 15 put the largest root of the
+# AR(2) at 0.948, 0.911 and 0.866
+@pytest.mark.parametrize("b, seed", [(0.8, 2026), (8.0, 2027), (15.0, 2028)])
+def test_linear_fw_market_matches_its_ar2_closed_form(b, seed):
+    out = run_simulation(_ar2_config(b, seed))
+    n = out.returns.size
+    var_x, var, acf, bartlett, var_of_var = _ar2_return_moments(b)
+    mean_hat, var_hat = mean_var(out.returns)
+    # the returns telescope: their mean is (x_end - x_start) / n
+    assert abs(mean_hat) <= 4.0 * math.sqrt(2.0 * var_x) / n
+    assert abs(var_hat / var - 1.0) <= 4.0 * math.sqrt(var_of_var / n)
+    np.testing.assert_array_less(np.abs(acf_profile(out.returns, _AR2_LAGS) - acf),
+                                 4.0 * np.sqrt(bartlett / n))
+
+
+def test_linear_fw_market_past_its_stability_boundary_blows_up():
+    # b > 2 / (gamma dt) = 20: complex roots of modulus sqrt(gamma dt b / 2) > 1
+    with pytest.raises(NumericalBlowup) as e:
+        run_simulation(_ar2_config(25.0, 2029, steps=2000))
+    k = e.value.step_index
+    assert 0 < k < 2000
+    assert re.fullmatch(rf"log price \S+ out of range at step {k} \(seed 2029\)", str(e.value))

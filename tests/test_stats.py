@@ -492,6 +492,23 @@ class TestFitPowerDecay:
         with pytest.raises(InsufficientPositivePoints):
             fit_power_decay(np.arange(1, 6), -np.ones(5))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_pairs_excluded(self, bad):
+        x, values = np.arange(1.0, 8.0), np.arange(1.0, 8.0)
+        finite = fit_power_decay(np.delete(x, 3), np.delete(values, 3))
+        for x_bad, values_bad in [(x, values.copy()), (x.copy(), values)]:
+            values_bad[3] = x_bad[3] = bad  # one of the two is a copy
+            fit = fit_power_decay(x_bad, values_bad)
+            assert fit == finite
+            assert fit.n_points == 6
+            assert fit.exponent == pytest.approx(-1.0, abs=1e-10)
+
+    def test_fewer_than_five_finite_positive_pairs(self):
+        values = [1.0, math.inf, 3.0, math.nan, 5.0, 6.0]
+        with pytest.raises(InsufficientPositivePoints,
+                           match=r"^only 4 strictly positive points, need >= 5$"):
+            fit_power_decay(np.arange(1.0, 7.0), values)
+
     @pytest.mark.parametrize("x, values", [
         (np.arange(1, 6), np.ones(4)),
         (np.arange(1, 6), np.ones((5, 1))),
