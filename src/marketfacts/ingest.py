@@ -16,6 +16,7 @@ import datetime as _dt
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError, UnreadableFile
@@ -66,20 +67,49 @@ def _window_date(value, name: str):
     raise InvalidWindow(f"{name}: {value!r} is not a YYYY-MM-DD date")
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file; a leading byte order mark, as Excel writes
-    one, reads as absent."""
+# bytes of a file decoded at a time to check that it is UTF-8
+_CHECK_CHUNK = 1 << 16
+
+
+def _check_utf8(path, data: bytes) -> None:
+    """Raise a :class:`SchemaError` naming the first byte of ``data`` that is
+    not UTF-8, counted from the start of the file (a byte order mark is UTF-8)."""
+    view = memoryview(data)
+    start = 0
+    while start < len(data):
+        end = start + _CHECK_CHUNK
+        try:
+            # a character cut by the chunk's end is left for the next chunk
+            start += codecs.utf_8_decode(view[start:end], "strict", end >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"{path}: not UTF-8 text: {exc.reason} at byte {start + exc.start}"
+            ) from exc
+
+
+def _read_utf8(path) -> bytes:
+    """The bytes of a file, checked to be UTF-8 before any of it is parsed."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc.strerror}") from exc
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # utf-8-sig counts from the end of the mark, the message from the file's start
-        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
-        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {start}") from exc
+    _check_utf8(path, data)
+    return data
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a leading byte order mark, as Excel writes
+    one, reads as absent."""
+    return _read_utf8(path).decode("utf-8-sig")
+
+
+def _lines(data: bytes):
+    """The lines of checked UTF-8 ``data``, split at ``\\r``, ``\\n`` and
+    ``\\r\\n`` as ``io.StringIO(text, newline="")`` splits them; a leading byte
+    order mark reads as absent.  They are decoded 8 KB at a time, so a file
+    is held once, as bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def read_prices_report(
@@ -100,10 +130,10 @@ def read_prices_report(
     if from_date is not None and to_date is not None and from_date > to_date:
         raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(_lines(_read_utf8(path)))
     rows_in = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
-    records = []
+    dates, prices = [], []
     try:
         header = next(reader, None)
         if header is None:
@@ -142,26 +172,26 @@ def read_prices_report(
             ):
                 rows_out += 1
                 continue
-            records.append((date, price))
+            dates.append(date)
+            prices.append(price)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
 
-    if not records:
+    if not dates:
         raise EmptyWindow(
             f"{path}: no usable rows in window [{from_date}, {to_date}]"
         )
-    records.sort(key=lambda rec: rec[0])
-    series = PriceSeries(
-        dates=tuple(d for d, _ in records),
-        prices=[p for _, p in records],
-    )
+    if any(map(operator.gt, dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[k] for k in order]
+        prices = [prices[k] for k in order]
     report = IngestReport(
         rows_in=rows_in,
-        rows_used=len(records),
+        rows_used=len(dates),
         rows_skipped=rows_skipped,
         rows_out_of_window=rows_out,
     )
-    return series, report
+    return PriceSeries(dates=dates, prices=prices), report
 
 
 def read_prices(path, price_column: str = "Open", from_date=None, to_date=None) -> PriceSeries:

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import os
 
 import numpy as np
 
 from .errors import UnwritableOutput
+
+# rows of a number column converted and written at a time
+_BLOCK = 4096
 
 
 @contextlib.contextmanager
@@ -38,16 +40,19 @@ def _create(path):
 def write_columns(path, header, *columns) -> None:
     """Write equal-length number columns under a header row of names.
 
-    ``tolist()`` makes every cell a Python number, so a numpy scalar's repr
-    (``np.float64(0.1)``) never reaches the file.  Rows are joined in C and
-    written 4096 at a time, faster than formatting each row in Python.
+    Each column is a sequence that slices, such as an array or a ``range``.
+    The rows are converted and written 4096 at a time, so no whole-column
+    list is built; ``tolist()`` makes every cell a Python number, so a numpy
+    scalar's repr (``np.float64(0.1)``) never reaches the file, and the rows
+    are joined in C, faster than formatting each row in Python.
     """
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
-    rows = map(",".join, zip(*cells))
+    n = min(map(len, columns))
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        while block := "\n".join(itertools.islice(rows, 4096)):
-            fh.write(block + "\n")
+        for start in range(0, n, _BLOCK):
+            cells = [map(repr, np.asarray(col[start:start + _BLOCK]).tolist())
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_table(path, rows) -> None:

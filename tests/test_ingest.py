@@ -1,15 +1,20 @@
 import codecs
 import csv
 import datetime as dt
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketfacts.errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError
+from marketfacts import ingest
 from marketfacts.ingest import (
     IngestReport,
+    _check_utf8,
+    _lines,
     _parse_date,
     load_manifest,
     read_prices,
@@ -219,23 +224,120 @@ class TestReadPrices:
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"])
     def test_line_endings_read_alike(self, tmp_path, ending):
+        head = "Date,Open,Note" + ending + "2010-01-04,100.0,"
         lines = [
             "Date,Open,Note",
-            "2010-01-04,100.0,plain",
+            # the ending of this line starts at byte 8191, the last of the
+            # first 8 KB decode chunk, so a \r\n straddles the chunk's end
+            "2010-01-04,100.0," + "p" * (8191 - len(head)),
             '2010-01-05,101.0,"two\nlines"',
             "",
             "2010-01-06,n/a,x",
             "2010-01-07,102.0,x",
         ]
-        reads = []
+        reads, duplicates = [], []
         for name, sep in (("lf.csv", "\n"), ("other.csv", ending)):
             path = tmp_path / name
             path.write_bytes((sep.join(lines) + sep).encode())
             reads.append(read_prices_report(path))
+            # an ending read as two line breaks would shift the line numbers
+            path.write_bytes((sep.join(lines + lines[-1:]) + sep).encode())
+            with pytest.raises(DuplicateDate) as info:
+                read_prices_report(path)
+            duplicates.append(str(info.value).removeprefix(f"{path}: "))
+        assert path.read_bytes()[8191:8191 + len(ending)] == ending.encode()
+        assert duplicates == ["date 2010-01-07 on lines 7 and 8"] * 2
         (lf, lf_report), (other, other_report) = reads
         assert other.dates == lf.dates
         assert list(other.prices) == list(lf.prices) == [100.0, 101.0, 102.0]
         assert other_report == lf_report == IngestReport(4, 3, 1, 0)
+
+
+    def test_extra_bytes_cost_at_most_twice_their_size(self, tmp_path):
+        # the file is held once, as bytes; a whole decoded copy of the text
+        # (4 bytes a character once io.StringIO has been read) would show here
+        def peak(pad):
+            path = tmp_path / f"pad{len(pad)}.csv"
+            path.write_text("Date,Open,Note\n" + "".join(
+                f"{dt.date(1950, 1, 2) + dt.timedelta(days=k)},{100 + k / 64},{pad}\n"
+                for k in range(20_000)))
+            tracemalloc.start()
+            try:
+                read_prices_report(path)
+                return path.stat().st_size, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (narrow_size, narrow_peak), (wide_size, wide_peak) = peak(""), peak("x" * 200)
+        assert (wide_peak - narrow_peak) / (wide_size - narrow_size) < 2
+
+
+# ASCII, with more weight on what ends csv lines and fields, and characters
+# of two and three UTF-8 bytes
+_CSV_TOKENS = st.characters(max_codepoint=127) | st.sampled_from(
+    [",", '"', "\r", "\n", "\r\n", "é", "€"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Drawn tokens that start at a drawn byte, most often just before the
+    end of the first 8192-byte decode chunk, behind a drawn unit repeated."""
+    unit, tail = ("".join(draw(st.lists(_CSV_TOKENS, min_size=least, max_size=most)))
+                  for least, most in ((1, 6), (0, 60)))
+    start = draw(st.integers(0, 64) | st.integers(8192 - 16, 8192))
+    pad = unit * (start // len(unit.encode()))
+    return pad + "x" * (start - len(pad.encode())) + tail
+
+
+def _rows_and_line_numbers(reader):
+    read = []
+    try:
+        for row in reader:
+            read.append((row, reader.line_num))
+    except csv.Error as exc:
+        read.append(str(exc))
+    return read
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_csv_texts(), st.booleans())
+@example("x" * 8191 + "\r\ny", False)  # \r\n across the chunk's end
+@example("x" * 8188 + "\r\ny", True)  # the same behind a byte order mark
+@example("x" * 8191 + "€\n", False)  # a character cut by the chunk's end
+@example('"' + "x" * 8190 + '\r\n"\r\n', False)  # a quoted \r\n across it
+def test_line_source_matches_string_reader(text, bom):
+    data = (codecs.BOM_UTF8 if bom else b"") + text.encode()
+    expected = _rows_and_line_numbers(csv.reader(io.StringIO(text, newline="")))
+    assert _rows_and_line_numbers(csv.reader(_lines(data))) == expected
+
+
+def _whole_file_message(data):
+    """The message of a whole-file decode, the check's reference."""
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # utf-8-sig counts from the end of the mark, the message from the file's start
+        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        return f"f.csv: not UTF-8 text: {exc.reason} at byte {start}"
+    return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from([b"a", b"\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
+                                 b"\xe2\x82", b"\xf0\x80", b"\xed\xa0\x80", b"\xff", b"\x80",
+                                 codecs.BOM_UTF8]), max_size=40),
+       st.integers(4, 9))
+@example([codecs.BOM_UTF8, b"a", b"\xff"], 4)
+def test_utf8_check_in_chunks_matches_a_whole_file_decode(parts, chunk):
+    data = b"".join(parts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHECK_CHUNK", chunk)
+        try:
+            _check_utf8("f.csv", data)
+        except SchemaError as exc:
+            assert str(exc) == _whole_file_message(data)
+        else:
+            assert _whole_file_message(data) is None
 
 
 _FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")

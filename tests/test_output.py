@@ -4,6 +4,7 @@ writes files."""
 import ast
 import errno
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,20 @@ def test_write_columns_exact_text(tmp_path):
         b"2,5e-324,4611686018427387904\n"
         b"3,1e+16,0\n"
     )
+
+
+def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
+    # a range and an array are converted a block of rows at a time
+    def peak(n):
+        normals = np.random.default_rng(0).standard_normal(n)
+        tracemalloc.start()
+        try:
+            write_columns(tmp_path / "cols.csv", ("k", "x"), range(n), normals)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400_000) <= peak(100_000) + 2**20
 
 
 def test_directory_that_cannot_be_made_names_its_path(tmp_path):
