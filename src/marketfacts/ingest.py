@@ -6,14 +6,21 @@ Every file is UTF-8; a leading byte order mark reads as absent, and a byte
 offset counts from the start of the file.  The price layout is fixed:
 comma-delimited, a header row naming a ``Date`` column of ISO ``YYYY-MM-DD``
 dates, and the price in a column chosen by name (``Open`` by default).
+
+A price file is never held whole.  It is read twice: 64 KB at a time to
+check that it is UTF-8, then 8 KB at a time for its rows.  Its memory is the
+kept dates and prices plus a map from each date to its line.
 """
 
 from __future__ import annotations
 
+import array
 import codecs
+import contextlib
 import csv
 import datetime as _dt
 import io
+import itertools
 import json
 import math
 import operator
@@ -67,49 +74,56 @@ def _window_date(value, name: str):
     raise InvalidWindow(f"{name}: {value!r} is not a YYYY-MM-DD date")
 
 
-# bytes of a file decoded at a time to check that it is UTF-8
+# bytes of a file read and decoded at a time to check that it is UTF-8
 _CHECK_CHUNK = 1 << 16
 
 
-def _check_utf8(path, data: bytes) -> None:
-    """Raise a :class:`SchemaError` naming the first byte of ``data`` that is
-    not UTF-8, counted from the start of the file (a byte order mark is UTF-8)."""
-    view = memoryview(data)
-    start = 0
-    while start < len(data):
-        end = start + _CHECK_CHUNK
+@contextlib.contextmanager
+def _open(path):
+    """A binary handle on an input file, closed on leaving; an OSError while
+    it is opened or read is an :class:`UnreadableFile` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror}") from exc
+
+
+def _check_utf8(path, fh) -> None:
+    """Read binary handle ``fh`` to its end and raise a :class:`SchemaError`
+    naming its first byte that is not UTF-8, counted from where ``fh`` began
+    (a byte order mark is UTF-8)."""
+    start, pending = 0, b""  # pending starts at byte `start`
+    while True:
+        chunk = fh.read(_CHECK_CHUNK)
+        data = pending + chunk
         try:
             # a character cut by the chunk's end is left for the next chunk
-            start += codecs.utf_8_decode(view[start:end], "strict", end >= len(data))[1]
+            used = codecs.utf_8_decode(data, "strict", not chunk)[1]
         except UnicodeDecodeError as exc:
             raise SchemaError(
                 f"{path}: not UTF-8 text: {exc.reason} at byte {start + exc.start}"
             ) from exc
-
-
-def _read_utf8(path) -> bytes:
-    """The bytes of a file, checked to be UTF-8 before any of it is parsed."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc.strerror}") from exc
-    _check_utf8(path, data)
-    return data
+        if not chunk:
+            return
+        start, pending = start + used, data[used:]
 
 
 def _read_text(path) -> str:
     """The text of a UTF-8 file; a leading byte order mark, as Excel writes
     one, reads as absent."""
-    return _read_utf8(path).decode("utf-8-sig")
+    with _open(path) as fh:
+        data = fh.read()
+    _check_utf8(path, io.BytesIO(data))
+    return data.decode("utf-8-sig")
 
 
-def _lines(data: bytes):
-    """The lines of checked UTF-8 ``data``, split at ``\\r``, ``\\n`` and
-    ``\\r\\n`` as ``io.StringIO(text, newline="")`` splits them; a leading byte
-    order mark reads as absent.  They are decoded 8 KB at a time, so a file
-    is held once, as bytes."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+def _lines(fh):
+    """The lines of checked UTF-8 binary handle ``fh``, split at ``\\r``,
+    ``\\n`` and ``\\r\\n`` as ``io.StringIO(text, newline="")`` splits them; a
+    leading byte order mark reads as absent.  They are read and decoded 8 KB
+    at a time, so the file is never held whole."""
+    return io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
 
 
 def read_prices_report(
@@ -130,61 +144,67 @@ def read_prices_report(
     if from_date is not None and to_date is not None and from_date > to_date:
         raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
-    reader = csv.reader(_lines(_read_utf8(path)))
     rows_in = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
-    dates, prices = [], []
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, no header")
-        header = [h.strip() for h in header]
-        indices = []
-        for column in ("Date", price_column):
-            try:
-                indices.append(header.index(column))
-            except ValueError:
-                raise SchemaError(f"{path}: column {column!r} not in header {header}") from None
-        date_idx, price_idx = indices
+    dates, prices = [], array.array("d")
+    with _open(path) as fh:
+        _check_utf8(path, fh)
+        fh.seek(0)
+        reader = csv.reader(_lines(fh))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, no header")
+            header = [h.strip() for h in header]
+            indices = []
+            for column in ("Date", price_column):
+                try:
+                    indices.append(header.index(column))
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}: column {column!r} not in header {header}") from None
+            date_idx, price_idx = indices
 
-        next_line = reader.line_num + 1
-        for row in reader:
-            # the line a record starts on; a quoted cell may span lines
-            lineno, next_line = next_line, reader.line_num + 1
-            if not any(map(str.strip, row)):
-                continue
-            rows_in += 1
-            try:  # IndexError: the row is too short for one of the columns
-                date = _parse_date(row[date_idx])
-                price = float(row[price_idx])
-                if not 0.0 < price < math.inf:
-                    raise ValueError(price)
-            except (IndexError, ValueError):
-                rows_skipped += 1
-                continue
-            if date in seen:
-                raise DuplicateDate(
-                    f"{path}: date {date} on lines {seen[date]} and {lineno}"
-                )
-            seen[date] = lineno
-            if (from_date is not None and date < from_date) or (
-                to_date is not None and date > to_date
-            ):
-                rows_out += 1
-                continue
-            dates.append(date)
-            prices.append(price)
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+            next_line = reader.line_num + 1
+            for row in reader:
+                # the line a record starts on; a quoted cell may span lines
+                lineno, next_line = next_line, reader.line_num + 1
+                if not any(map(str.strip, row)):
+                    continue
+                rows_in += 1
+                try:  # IndexError: the row is too short for one of the columns
+                    date = _parse_date(row[date_idx])
+                    price = float(row[price_idx])
+                    if not 0.0 < price < math.inf:
+                        raise ValueError(price)
+                except (IndexError, ValueError):
+                    rows_skipped += 1
+                    continue
+                if date in seen:
+                    raise DuplicateDate(
+                        f"{path}: date {date} on lines {seen[date]} and {lineno}"
+                    )
+                seen[date] = lineno
+                if (from_date is not None and date < from_date) or (
+                    to_date is not None and date > to_date
+                ):
+                    rows_out += 1
+                    continue
+                dates.append(date)
+                prices.append(price)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # the file changed after its check
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
     if not dates:
         raise EmptyWindow(
             f"{path}: no usable rows in window [{from_date}, {to_date}]"
         )
-    if any(map(operator.gt, dates, dates[1:])):
+    if any(itertools.starmap(operator.gt, itertools.pairwise(dates))):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[k] for k in order]
-        prices = [prices[k] for k in order]
+        prices = array.array("d", map(prices.__getitem__, order))
     report = IngestReport(
         rows_in=rows_in,
         rows_used=len(dates),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +12,13 @@ from .errors import InsufficientData, InvalidPrice
 
 
 def _readonly(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr = arr.copy() if arr.flags.writeable else arr
+    """``values`` as a read-only float array, copied once; a read-only float
+    array is shared, not copied."""
+    if isinstance(values, (list, tuple)):
+        arr = np.array(values, dtype=float)  # already a copy
+    else:
+        arr = np.asarray(values, dtype=float)
+        arr = arr.copy() if arr.flags.writeable else arr
     arr.setflags(write=False)
     return arr
 
@@ -38,7 +44,7 @@ class PriceSeries:
         for d in self.dates:
             if not isinstance(d, _dt.date):
                 raise InvalidPrice(f"date entry {d!r} is not a datetime.date")
-        for a, b in zip(self.dates, self.dates[1:]):
+        for a, b in itertools.pairwise(self.dates):
             if a >= b:
                 raise InvalidPrice(f"dates not strictly increasing at {a} -> {b}")
         if self.prices.size and (

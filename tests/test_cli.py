@@ -242,6 +242,17 @@ class TestAnalyze:
         assert [col["error"].startswith(f"SchemaError: {binary}: not UTF-8 text")
                 for col in doc.values()] == [True, True]
 
+    def test_file_changed_after_its_check_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"Date,Open\n2000-01-01,100.0\n2000-01-02,\xff\n")
+        monkeypatch.setattr(ingest, "_check_utf8", lambda path, fh: None)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(binary), "--out-dir", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "table.json").read_text())
+        assert [col["error"] for col in doc.values()] == [
+            f"SchemaError: {binary}: not UTF-8 text: invalid start byte"] * 2
+
     @pytest.mark.parametrize("data, message", [
         (b"2000-01-01,100.0\n2000-01-02,101.0\n", "column 'Date' not in header"),
         (b"Date;Open\n2000-01-01;100.0\n2000-01-02;101.0\n", "column 'Date' not in header"),
@@ -489,7 +500,7 @@ def test_out_dir_that_cannot_be_a_directory_fails_first(tmp_path, capsys, monkey
             raise AssertionError(f"{name} called")
         return record
 
-    monkeypatch.setattr(ingest, "_read_text", spy("read"))
+    monkeypatch.setattr(ingest, "_open", spy("read"))  # every input file opens here
     monkeypatch.setattr(sim, "run_simulation", spy("run_simulation"))
     monkeypatch.setattr(sim, "run_ensemble", spy("run_ensemble"))
     blocker = tmp_path / "blocker"

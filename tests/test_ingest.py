@@ -1,9 +1,11 @@
 import codecs
 import csv
 import datetime as dt
+import gc
 import io
 import json
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -271,6 +273,64 @@ class TestReadPrices:
         (narrow_size, narrow_peak), (wide_size, wide_peak) = peak(""), peak("x" * 200)
         assert (wide_peak - narrow_peak) / (wide_size - narrow_size) < 2
 
+    def test_file_bytes_are_not_held(self, tmp_path):
+        # the file is read a chunk at a time, so an unused column costs
+        # almost nothing; holding the file's bytes would cost 1 per byte
+        (narrow_size, narrow_peak), (wide_size, wide_peak) = (
+            _read_peak(tmp_path, pad) for pad in ("", "x" * 200))
+        assert (wide_peak - narrow_peak) / (wide_size - narrow_size) < 0.1
+
+    def test_file_changed_after_its_check_is_a_schema_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"Date,Open\n2000-01-01,100.0\n2000-01-02,\xff\n")
+        monkeypatch.setattr(ingest, "_check_utf8", lambda path, fh: None)
+        with pytest.raises(SchemaError) as info:
+            read_prices_report(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+    @pytest.mark.parametrize("data, error", [
+        (b"Date;Open\n2000-01-01;100.0\n", SchemaError),
+        (b'Date,Open\n2000-01-01,"' + b"x" * (csv.field_size_limit() + 1) + b'"\n', SchemaError),
+        (b"Date,Open\n2000-01-01,100.0\n2000-01-01,101.0\n", DuplicateDate),
+        (b"Date,Open\n2000-01-01,abc\n", EmptyWindow),
+        (b"Date,Open\n2000-01-01,\xff\n", SchemaError),
+    ], ids=["missing_column", "csv_error", "duplicate_date", "empty_window", "not_utf8"])
+    def test_error_paths_close_the_file(self, tmp_path, monkeypatch, data, error):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        def fail():  # the traceback, and any handle it holds, ends here
+            with pytest.raises(error):
+                read_prices_report(path)
+
+        monkeypatch.setattr(ingest, "open", recording_open, raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fail()
+            gc.collect()
+        assert len(handles) == 1 and handles[0].closed
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _read_peak(tmp_path, pad):
+    """The size of a 20 000-row file whose unused column holds ``pad``, and
+    the tracemalloc peak of reading it."""
+    path = tmp_path / f"pad{len(pad)}.csv"
+    path.write_text("Date,Open,Note\n" + "".join(
+        f"{dt.date(1950, 1, 2) + dt.timedelta(days=k)},{100 + k / 64},{pad}\n"
+        for k in range(20_000)))
+    tracemalloc.start()
+    try:
+        read_prices_report(path)
+        return path.stat().st_size, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 # ASCII, with more weight on what ends csv lines and fields, and characters
 # of two and three UTF-8 bytes
@@ -308,7 +368,7 @@ def _rows_and_line_numbers(reader):
 def test_line_source_matches_string_reader(text, bom):
     data = (codecs.BOM_UTF8 if bom else b"") + text.encode()
     expected = _rows_and_line_numbers(csv.reader(io.StringIO(text, newline="")))
-    assert _rows_and_line_numbers(csv.reader(_lines(data))) == expected
+    assert _rows_and_line_numbers(csv.reader(_lines(io.BytesIO(data)))) == expected
 
 
 def _whole_file_message(data):
@@ -333,7 +393,7 @@ def test_utf8_check_in_chunks_matches_a_whole_file_decode(parts, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHECK_CHUNK", chunk)
         try:
-            _check_utf8("f.csv", data)
+            _check_utf8("f.csv", io.BytesIO(data))
         except SchemaError as exc:
             assert str(exc) == _whole_file_message(data)
         else:

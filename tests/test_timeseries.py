@@ -1,6 +1,8 @@
+import array
 import datetime as dt
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -62,6 +64,27 @@ class TestPriceSeries:
         s = make_series([1.0, 2.0])
         with pytest.raises(ValueError):
             s.prices[0] = 5.0
+
+    def test_list_of_prices_is_copied_once(self):
+        n = 32_000
+        dates = [dt.date(1900, 1, 1) + dt.timedelta(days=k) for k in range(n)]
+        prices = [100.0 + k for k in range(n)]
+        tracemalloc.start()
+        try:
+            series = PriceSeries(dates=dates, prices=prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= series.prices.nbytes + sys.getsizeof(series.dates) + 64 * 1024
+
+    def test_read_only_prices_are_shared_and_others_copied(self):
+        shared = np.array([1.0, 2.0])
+        shared.setflags(write=False)
+        assert make_series(shared).prices is shared
+        for source in (np.array([1.0, 2.0]), array.array("d", [1.0, 2.0]), [1.0, 2.0]):
+            series = make_series(source)
+            source[0] = 5.0
+            assert list(series.prices) == [1.0, 2.0]
 
 
 class TestLogReturns:
