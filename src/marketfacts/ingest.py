@@ -9,25 +9,26 @@ dates, and the price in a column chosen by name (``Open`` by default).
 
 A price file is never held whole.  It is read twice: 64 KB at a time to
 check that it is UTF-8, then 8 KB at a time for its rows.  Its memory is the
-kept dates and prices plus a map from each date to its line.
+date, price and line number of each row that parses, in the window or not;
+a map from each date to its line is built only for a file whose dates do
+not increase.
 """
 
 from __future__ import annotations
 
 import array
+import bisect
 import codecs
 import contextlib
 import csv
 import datetime as _dt
 import io
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError, UnreadableFile
-from .timeseries import PriceSeries
+from .timeseries import PriceSeries, _is_date_type
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,9 @@ def _parse_date(text: str) -> _dt.date:
 
 
 def _window_date(value, name: str):
-    """A window bound given as None, a ``datetime.date`` or an ISO date string.
-
-    A ``datetime.datetime`` is a ``date`` too, but cannot be compared with one.
-    """
-    if value is None or (
-        isinstance(value, _dt.date) and not isinstance(value, _dt.datetime)
-    ):
+    """A window bound given as None, a ``datetime.date`` (not a
+    ``datetime.datetime``) or an ISO date string."""
+    if value is None or _is_date_type(type(value)):
         return value
     if isinstance(value, str):
         try:
@@ -144,9 +141,11 @@ def read_prices_report(
     if from_date is not None and to_date is not None and from_date > to_date:
         raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
 
-    rows_in = rows_skipped = rows_out = 0
-    seen: dict = {}  # date -> line number
-    dates, prices = [], array.array("d")
+    rows_skipped = 0
+    # every row that parses, in file order: its date, price and first line
+    dates, prices, lines = [], array.array("d"), array.array("q")
+    last = _dt.date.min  # the last date, while dates increase
+    seen = None  # date -> line, built at the first date that does not increase
     with _open(path) as fh:
         _check_utf8(path, fh)
         fh.seek(0)
@@ -169,47 +168,53 @@ def read_prices_report(
             for row in reader:
                 # the line a record starts on; a quoted cell may span lines
                 lineno, next_line = next_line, reader.line_num + 1
-                if not any(map(str.strip, row)):
-                    continue
-                rows_in += 1
                 try:  # IndexError: the row is too short for one of the columns
                     date = _parse_date(row[date_idx])
                     price = float(row[price_idx])
                     if not 0.0 < price < math.inf:
                         raise ValueError(price)
                 except (IndexError, ValueError):
-                    rows_skipped += 1
+                    if any(map(str.strip, row)):  # a blank row is not counted
+                        rows_skipped += 1
                     continue
-                if date in seen:
-                    raise DuplicateDate(
-                        f"{path}: date {date} on lines {seen[date]} and {lineno}"
-                    )
-                seen[date] = lineno
-                if (from_date is not None and date < from_date) or (
-                    to_date is not None and date > to_date
-                ):
-                    rows_out += 1
-                    continue
+                if seen is None and date > last:  # later than every date before it
+                    last = date
+                else:
+                    if seen is None:
+                        seen = dict(zip(dates, lines))
+                    if date in seen:
+                        raise DuplicateDate(
+                            f"{path}: date {date} on lines {seen[date]} and {lineno}"
+                        )
+                    seen[date] = lineno
                 dates.append(date)
                 prices.append(price)
+                lines.append(lineno)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # the file changed after its check
             raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
+    parsed = len(dates)
+    if seen is not None:  # a date did not increase: sort the rows by date
+        del seen
+        order = sorted(range(parsed), key=dates.__getitem__)
+        dates = [dates[k] for k in order]
+        prices = array.array("d", map(prices.__getitem__, order))
+    # the window, cut in place from the sorted dates
+    end = parsed if to_date is None else bisect.bisect_right(dates, to_date)
+    del dates[end:], prices[end:]
+    start = 0 if from_date is None else bisect.bisect_left(dates, from_date)
+    del dates[:start], prices[:start]
     if not dates:
         raise EmptyWindow(
             f"{path}: no usable rows in window [{from_date}, {to_date}]"
         )
-    if any(itertools.starmap(operator.gt, itertools.pairwise(dates))):
-        order = sorted(range(len(dates)), key=dates.__getitem__)
-        dates = [dates[k] for k in order]
-        prices = array.array("d", map(prices.__getitem__, order))
     report = IngestReport(
-        rows_in=rows_in,
+        rows_in=parsed + rows_skipped,
         rows_used=len(dates),
         rows_skipped=rows_skipped,
-        rows_out_of_window=rows_out,
+        rows_out_of_window=parsed - len(dates),
     )
     return PriceSeries(dates=dates, prices=prices), report
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,15 +13,19 @@ from .errors import InsufficientData, InvalidPrice
 
 
 def _readonly(values) -> np.ndarray:
-    """``values`` as a read-only float array, copied once; a read-only float
-    array is shared, not copied."""
-    if isinstance(values, (list, tuple)):
-        arr = np.array(values, dtype=float)  # already a copy
-    else:
-        arr = np.asarray(values, dtype=float)
-        arr = arr.copy() if arr.flags.writeable else arr
+    """``values`` as a read-only float array: a read-only float array is
+    shared, anything else is built into a new array once."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _is_date_type(kind) -> bool:
+    """A ``datetime.datetime`` is a ``date`` too, but cannot be compared with one."""
+    return issubclass(kind, _dt.date) and not issubclass(kind, _dt.datetime)
 
 
 @dataclass(frozen=True)
@@ -41,12 +46,14 @@ class PriceSeries:
             raise InvalidPrice(
                 f"{len(self.dates)} dates but {len(self.prices)} prices"
             )
-        for d in self.dates:
-            if not isinstance(d, _dt.date):
-                raise InvalidPrice(f"date entry {d!r} is not a datetime.date")
-        for a, b in itertools.pairwise(self.dates):
-            if a >= b:
-                raise InvalidPrice(f"dates not strictly increasing at {a} -> {b}")
+        # each check scans in C; only a failed scan looks for the entry to name
+        if not all(map(_is_date_type, set(map(type, self.dates)))):
+            d = next(d for d in self.dates if not _is_date_type(type(d)))
+            kind = "a datetime.datetime, not" if isinstance(d, _dt.datetime) else "not"
+            raise InvalidPrice(f"date entry {d!r} is {kind} a datetime.date")
+        if any(map(operator.ge, self.dates, itertools.islice(self.dates, 1, None))):
+            a, b = next((a, b) for a, b in itertools.pairwise(self.dates) if a >= b)
+            raise InvalidPrice(f"dates not strictly increasing at {a} -> {b}")
         if self.prices.size and (
             not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0.0)
         ):

@@ -1,9 +1,13 @@
+import array
 import codecs
 import csv
 import datetime as dt
 import gc
 import io
+import itertools
 import json
+import math
+import operator
 import tracemalloc
 import warnings
 
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from marketfacts.errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError
 from marketfacts import ingest
+from marketfacts.timeseries import PriceSeries
 from marketfacts.ingest import (
     IngestReport,
     _check_utf8,
@@ -316,6 +321,21 @@ class TestReadPrices:
         assert len(handles) == 1 and handles[0].closed
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_in_order_file_holds_no_date_map(self, tmp_path):
+        # an in-order file costs its parsed dates, prices and line numbers,
+        # about 75 B a row; a map from each date to its line took 139
+        n = 32_000
+        path = tmp_path / "in_order.csv"
+        path.write_text("Date,Open\n" + "".join(
+            f"{dt.date(1900, 1, 1) + dt.timedelta(days=k)},{100 + k / 64}\n" for k in range(n)))
+        tracemalloc.start()
+        try:
+            read_prices_report(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 100
+
 
 def _read_peak(tmp_path, pad):
     """The size of a 20 000-row file whose unused column holds ``pad``, and
@@ -398,6 +418,148 @@ def test_utf8_check_in_chunks_matches_a_whole_file_decode(parts, chunk):
             assert str(exc) == _whole_file_message(data)
         else:
             assert _whole_file_message(data) is None
+
+
+def _reference_read(path, price_column, from_date, to_date):
+    """``read_prices_report`` with the row loop that maps every date to its
+    line and tests every row for blankness and for the window."""
+    from_date = ingest._window_date(from_date, "from")
+    to_date = ingest._window_date(to_date, "to")
+    if from_date is not None and to_date is not None and from_date > to_date:
+        raise InvalidWindow(f"from: window start {from_date} after end {to_date}")
+
+    rows_in = rows_skipped = rows_out = 0
+    seen: dict = {}  # date -> line number
+    dates, prices = [], array.array("d")
+    with ingest._open(path) as fh:
+        _check_utf8(path, fh)
+        fh.seek(0)
+        reader = csv.reader(_lines(fh))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, no header")
+            header = [h.strip() for h in header]
+            indices = []
+            for column in ("Date", price_column):
+                try:
+                    indices.append(header.index(column))
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}: column {column!r} not in header {header}") from None
+            date_idx, price_idx = indices
+
+            next_line = reader.line_num + 1
+            for row in reader:
+                lineno, next_line = next_line, reader.line_num + 1
+                if not any(map(str.strip, row)):
+                    continue
+                rows_in += 1
+                try:
+                    date = _parse_date(row[date_idx])
+                    price = float(row[price_idx])
+                    if not 0.0 < price < math.inf:
+                        raise ValueError(price)
+                except (IndexError, ValueError):
+                    rows_skipped += 1
+                    continue
+                if date in seen:
+                    raise DuplicateDate(
+                        f"{path}: date {date} on lines {seen[date]} and {lineno}"
+                    )
+                seen[date] = lineno
+                if (from_date is not None and date < from_date) or (
+                    to_date is not None and date > to_date
+                ):
+                    rows_out += 1
+                    continue
+                dates.append(date)
+                prices.append(price)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+    if not dates:
+        raise EmptyWindow(
+            f"{path}: no usable rows in window [{from_date}, {to_date}]"
+        )
+    if any(itertools.starmap(operator.gt, itertools.pairwise(dates))):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[k] for k in order]
+        prices = array.array("d", map(prices.__getitem__, order))
+    report = IngestReport(
+        rows_in=rows_in,
+        rows_used=len(dates),
+        rows_skipped=rows_skipped,
+        rows_out_of_window=rows_out,
+    )
+    return PriceSeries(dates=dates, prices=prices), report
+
+
+_DAYS = [dt.date(2000, 1, 3) + dt.timedelta(days=k) for k in range(16)]
+# a cell longer than the field limit the oracle sets is a csv.Error
+_FIELD_LIMIT = 40
+# rows ingest skips and counts, one of each way a row is spoiled; {d} is a date
+_BAD_ROWS = ["{d}", "{d},", "{d},n/a", "{d},0", "{d},-1.5", "{d},nan", "{d},inf",
+             "03/01/2000,1.0", ",1.0", "{d} x,1.0"]
+# rows that are not counted, and a row over the field limit
+_OTHER_ROWS = ["", " ", " , ,", "\t,,", "{d},1.0," + "z" * (_FIELD_LIMIT + 1)]
+
+
+@st.composite
+def _price_files(draw):
+    """A price file of drawn dates in order, reversed or as drawn, with
+    repeats, quoted cells over several lines, bad, blank and oversized rows."""
+    days = draw(st.lists(st.integers(0, len(_DAYS) - 1), max_size=12,
+                         unique=draw(st.booleans())))
+    order = draw(st.sampled_from(["in order", "reversed", "as drawn"]))
+    if order != "as drawn":
+        days.sort(reverse=order == "reversed")
+    rows = []
+    for day in days:
+        pad = draw(st.sampled_from(["", " "]))
+        price = draw(st.floats(1e-3, 1e6))
+        note = draw(st.sampled_from(["", '"a\nb"', '"c\r\nd\ne"']))
+        rows.append(f"{pad}{_DAYS[day]}{pad},{price!r},{note}")
+    extras = draw(st.lists(st.tuples(st.integers(0, len(rows)),
+                                     st.sampled_from(_BAD_ROWS + _OTHER_ROWS),
+                                     st.sampled_from(_DAYS)), max_size=5))
+    for at, extra, day in sorted(extras, key=lambda e: e[0], reverse=True):
+        rows.insert(at, extra.format(d=day))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(["Date,Open,Note", *rows]) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(read, path, from_date, to_date):
+    """The dates, price bytes and report of a read, or its error."""
+    try:
+        series, report = read(path, "Open", from_date, to_date)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.dates, series.prices.tobytes(), report
+
+
+_WINDOW_BOUNDS = st.none() | st.sampled_from(_DAYS)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_price_files(), _WINDOW_BOUNDS, _WINDOW_BOUNDS)
+# a repeated date whose first row lies outside the window
+@example("Date,Open\n2000-01-03,1.0\n2000-01-05,2.0\n2000-01-03,3.0\n",
+         dt.date(2000, 1, 4), None)
+# a repeated date ahead of a row over the field limit
+@example("Date,Open\n2000-01-04,1.0\n2000-01-04,2.0\n2000-01-05," + "z" * 50 + "\n",
+         None, None)
+def test_row_loop_matches_a_map_of_every_date(tmp_path_factory, text, from_date, to_date):
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    path.write_bytes(text.encode())
+    limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        expected = _outcome(_reference_read, path, from_date, to_date)
+        assert _outcome(read_prices_report, path, from_date, to_date) == expected
+    finally:
+        csv.field_size_limit(limit)
 
 
 _FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")

@@ -56,6 +56,17 @@ class TestPriceSeries:
         with pytest.raises(InvalidPrice, match="^date entry '2000-01-03' is not a datetime.date$"):
             PriceSeries(dates=("2000-01-03",), prices=[1.0])
 
+    @pytest.mark.parametrize("dates", [
+        (dt.date(2020, 1, 1), dt.datetime(2020, 1, 2)),
+        (dt.datetime(2020, 1, 1), dt.datetime(2020, 1, 2)),
+    ], ids=["mixed", "all_datetime"])
+    def test_rejects_datetime_dates(self, dates):
+        # a datetime is a date too, but cannot be compared with one
+        with pytest.raises(InvalidPrice) as info:
+            PriceSeries(dates=dates, prices=[1.0, 2.0])
+        bad = next(d for d in dates if isinstance(d, dt.datetime))
+        assert str(info.value) == f"date entry {bad!r} is a datetime.datetime, not a datetime.date"
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidPrice):
             PriceSeries(dates=(dt.date(2010, 1, 1),), prices=[1.0, 2.0])
@@ -76,6 +87,19 @@ class TestPriceSeries:
         finally:
             tracemalloc.stop()
         assert peak <= series.prices.nbytes + sys.getsizeof(series.dates) + 64 * 1024
+
+    def test_array_of_another_dtype_is_converted_once(self):
+        n = 32_000
+        dates = tuple(dt.date(1900, 1, 1) + dt.timedelta(days=k) for k in range(n))
+        prices = np.arange(1, n + 1)
+        tracemalloc.start()
+        try:
+            series = PriceSeries(dates=dates, prices=prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.prices.dtype == np.float64 and list(series.prices[:2]) == [1.0, 2.0]
+        assert peak <= series.prices.nbytes + 64 * 1024
 
     def test_read_only_prices_are_shared_and_others_copied(self):
         shared = np.array([1.0, 2.0])
