@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from marketfacts.errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError
 from marketfacts import ingest
-from marketfacts.timeseries import PriceSeries
 from marketfacts.ingest import (
     IngestReport,
     _check_utf8,
@@ -27,6 +26,7 @@ from marketfacts.ingest import (
     read_prices,
     read_prices_report,
 )
+from marketfacts.timeseries import PriceSeries
 
 STOOQ_HEADER = "Date,Open,High,Low,Close,Volume\n"
 
