@@ -7,11 +7,13 @@ offset counts from the start of the file.  The price layout is fixed:
 comma-delimited, a header row naming a ``Date`` column of ISO ``YYYY-MM-DD``
 dates, and the price in a column chosen by name (``Open`` by default).
 
-A price file is never held whole.  It is read twice: 64 KB at a time to
-check that it is UTF-8, then 8 KB at a time for its rows.  Its memory is the
-date, price and line number of each row that parses, in the window or not;
-a map from each date to its line is built only for a file whose dates do
-not increase.
+Every input file (price file, manifest or config) is opened once, checked
+to be UTF-8 64 KB at a time, then decoded 8 KB at a time, so it is never
+held whole; a file that cannot be rewound (a pipe, such as bash's ``<(…)``)
+is held once in memory.  A price read's memory is the date, price and line
+number of each row that parses, in the window or not; a map from each date
+to its line is built only for a file whose dates do not increase.  A
+manifest ``path`` that holds a NUL character is a :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -75,17 +77,6 @@ def _window_date(value, name: str):
 _CHECK_CHUNK = 1 << 16
 
 
-@contextlib.contextmanager
-def _open(path):
-    """A binary handle on an input file, closed on leaving; an OSError while
-    it is opened or read is an :class:`UnreadableFile` naming the path."""
-    try:
-        with open(path, "rb") as fh:
-            yield fh
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc.strerror}") from exc
-
-
 def _check_utf8(path, fh) -> None:
     """Read binary handle ``fh`` to its end and raise a :class:`SchemaError`
     naming its first byte that is not UTF-8, counted from where ``fh`` began
@@ -106,21 +97,29 @@ def _check_utf8(path, fh) -> None:
         start, pending = start + used, data[used:]
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file; a leading byte order mark, as Excel writes
-    one, reads as absent."""
-    with _open(path) as fh:
-        data = fh.read()
-    _check_utf8(path, io.BytesIO(data))
-    return data.decode("utf-8-sig")
-
-
 def _lines(fh):
     """The lines of checked UTF-8 binary handle ``fh``, split at ``\\r``,
     ``\\n`` and ``\\r\\n`` as ``io.StringIO(text, newline="")`` splits them; a
     leading byte order mark reads as absent.  They are read and decoded 8 KB
-    at a time, so the file is never held whole."""
+    at a time."""
     return io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+
+
+@contextlib.contextmanager
+def _open(path):
+    """The lines of UTF-8 input file ``path``, as :func:`_lines` gives them,
+    once :func:`_check_utf8` has passed the whole file; the file is closed
+    on leaving.  A file that cannot be rewound (a pipe) is held once in
+    memory, since it can be read only once.  An OSError while the file is
+    opened or read is an :class:`UnreadableFile` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh if fh.seekable() else io.BytesIO(fh.read())
+            _check_utf8(path, data)
+            data.seek(0)
+            yield _lines(data)
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc
 
 
 def read_prices_report(
@@ -146,23 +145,17 @@ def read_prices_report(
     dates, prices, lines = [], array.array("d"), array.array("q")
     last = _dt.date.min  # the last date, while dates increase
     seen = None  # date -> line, built at the first date that does not increase
-    with _open(path) as fh:
-        _check_utf8(path, fh)
-        fh.seek(0)
-        reader = csv.reader(_lines(fh))
+    with _open(path) as text:
+        reader = csv.reader(text)
         try:
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file, no header")
             header = [h.strip() for h in header]
-            indices = []
             for column in ("Date", price_column):
-                try:
-                    indices.append(header.index(column))
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}: column {column!r} not in header {header}") from None
-            date_idx, price_idx = indices
+                if column not in header:
+                    raise SchemaError(f"{path}: column {column!r} not in header {header}")
+            date_idx, price_idx = header.index("Date"), header.index(price_column)
 
             next_line = reader.line_num + 1
             for row in reader:
@@ -236,7 +229,8 @@ def read_json(path):
         return doc
 
     try:
-        return json.loads(_read_text(path), object_pairs_hook=unique_keys)
+        with _open(path) as text:
+            return json.load(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -269,6 +263,8 @@ def load_manifest(path) -> list[tuple[str, str, dict]]:
                 kind = "a string" if required else "a string or null"
                 raise SchemaError(
                     f"{path}: entry {i}: {key!r} must be {kind}, got {json.dumps(value)}")
+        if "\0" in item["path"]:  # open() would raise a bare ValueError
+            raise SchemaError(f"{path}: entry {i}: 'path' holds a NUL character")
         read_args = {_READ_ARGS[key]: value for key, value in item.items()
                      if key in _READ_ARGS and value is not None}
         entries.append((item["label"], item["path"], read_args))

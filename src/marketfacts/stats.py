@@ -64,10 +64,7 @@ def _standardized_moment(sample, order: int, name: str) -> float:
         mean, var = mean_var(x)
         if var == 0.0:
             raise DegenerateSample(f"zero variance: {name} undefined")
-        try:
-            scale = var ** power
-        except OverflowError:  # a float power raises where numpy gives inf
-            scale = math.inf
+        scale = float(np.float64(var) ** power)
         if scale < sys.float_info.min:  # a subnormal divisor has lost its precision
             to = "0" if scale == 0.0 else f"the subnormal {scale!r}"
             raise DegenerateSample(f"variance {var!r} underflows to {to} at power {power}: "

@@ -220,6 +220,16 @@ class TestAnalyze:
         assert err == f"SchemaError: {manifest}: entry 1: unknown key(s) ['form']\n"
         assert not out.exists()
 
+    def test_manifest_path_with_nul_fails_cleanly(self, tmp_path, capsys):
+        # open() would end it in a bare ValueError: embedded null byte
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"label": "x", "path": "a\u0000b.csv"}]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"SchemaError: {manifest}: entry 0: 'path' holds a NUL character\n"
+        assert not out.exists()
+
     def test_duplicate_labels_rejected(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

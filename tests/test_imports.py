@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module: the package's
 modules, the demos and the tests. Every public function or class of the
-package is used in the package or exported by it. Importing the command
-line leaves out the process pool. Only ``ingest`` reads files and only
-``output`` writes them.
+package is used in the package or exported by it, and every private
+function, class, constant or method is used in the package. Importing the
+command line leaves out the process pool. Only ``ingest`` reads files and
+only ``output`` writes them.
 
 ``__init__.py`` is left out of the first check: its imports are the
 package's exports.
@@ -12,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,44 @@ def test_no_dead_public_names(module):
     dead = [f"line {node.lineno}: {node.name}" for node in PACKAGE_TREES[module].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_") and node.name not in used]
+    assert dead == []
+
+
+def private_definitions(tree):
+    """(line, name) of each private function, class or constant a module
+    defines at its top level and of each private method of its classes;
+    ``__dunder__`` names are Python's, not the package's."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = [(t.lineno, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [(node.lineno, node.target.id)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.lineno, node.name)]
+            if isinstance(node, ast.ClassDef):
+                targets += [(item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        else:
+            targets = []
+        yield from ((line, name) for line, name in targets
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def read_names(tree):
+    """The names of :func:`referenced_names` less each assignment's target:
+    binding a name does not read it."""
+    names = Counter(referenced_names(tree))
+    names.subtract(node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    return +names
+
+
+@pytest.mark.parametrize("module", PACKAGE_TREES)
+def test_no_dead_private_names(module):
+    # a private helper that loses its last caller would otherwise stay behind
+    used = {name for tree in PACKAGE_TREES.values() for name in read_names(tree)}
+    dead = [f"line {line}: {name}" for line, name in private_definitions(PACKAGE_TREES[module])
+            if name not in used]
     assert dead == []
 
 

@@ -1,6 +1,7 @@
 import array
 import codecs
 import csv
+import dataclasses
 import datetime as dt
 import gc
 import io
@@ -8,6 +9,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import tracemalloc
 import warnings
 
@@ -15,8 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marketfacts.errors import DuplicateDate, EmptyWindow, InvalidWindow, SchemaError
-from marketfacts import ingest
+from marketfacts.errors import (
+    DuplicateDate,
+    EmptyWindow,
+    InvalidWindow,
+    SchemaError,
+    UnreadableFile,
+)
+from marketfacts import ingest, sim
 from marketfacts.ingest import (
     IngestReport,
     _check_utf8,
@@ -431,10 +439,8 @@ def _reference_read(path, price_column, from_date, to_date):
     rows_in = rows_skipped = rows_out = 0
     seen: dict = {}  # date -> line number
     dates, prices = [], array.array("d")
-    with ingest._open(path) as fh:
-        _check_utf8(path, fh)
-        fh.seek(0)
-        reader = csv.reader(_lines(fh))
+    with ingest._open(path) as text:
+        reader = csv.reader(text)
         try:
             header = next(reader, None)
             if header is None:
@@ -654,6 +660,7 @@ class TestManifest:
         ("from", 2000, "'from' must be a string or null, got 2000"),
         ("to", {}, "'to' must be a string or null, got {}"),
         ("price_column", 5, "'price_column' must be a string or null, got 5"),
+        ("path", "a\u0000b.csv", "'path' holds a NUL character"),
     ])
     def test_values_have_json_types(self, tmp_path, key, value, expected):
         path = tmp_path / "manifest.json"
@@ -662,3 +669,77 @@ class TestManifest:
         with pytest.raises(SchemaError) as info:
             load_manifest(path)
         assert str(info.value) == f"{path}: entry 1: {expected}"
+
+
+@pytest.fixture
+def piped(tmp_path):
+    """Make ``(pipe_path, file_path)`` for a payload: a ``/dev/fd`` path
+    that reads it from a pipe, and a regular file that holds it."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to open a pipe by path")
+    read_ends = []
+
+    def make(payload, name):
+        # the whole payload fits the pipe's 64 KB buffer, so no writer thread
+        assert len(payload) < 1 << 16
+        r, w = os.pipe()
+        read_ends.append(r)
+        os.write(w, payload)
+        os.close(w)
+        path = tmp_path / name
+        path.write_bytes(payload)
+        return f"/dev/fd/{r}", path
+
+    yield make
+    for r in read_ends:
+        os.close(r)
+
+
+class TestInputFiles:
+    """A pipe reads as a regular file of the same bytes; it cannot be read
+    twice, so ``_open`` holds its bytes once."""
+
+    def test_piped_price_file(self, piped):
+        days = [dt.date(2000, 1, 1) + dt.timedelta(days=k) for k in range(300)]
+        rows = [f"{day},{100 + k / 7}\n" for k, day in enumerate(days)]
+        rows[40], rows[41] = rows[41], rows[40]  # a date that does not increase
+        rows[90] = f"{days[90]},abc\n"  # a skipped row
+        pipe, path = piped(("Date,Open\n" + "".join(rows)).encode(), "p.csv")
+        (series, report), (expected, expected_report) = (
+            read_prices_report(name, from_date="2000-01-10") for name in (pipe, path))
+        assert series.dates == expected.dates
+        assert series.prices.tobytes() == expected.prices.tobytes()
+        assert report == expected_report == IngestReport(300, 290, 1, 9)
+
+    def test_piped_config(self, piped):
+        config = sim.cross_herding_defaults(seed=3, steps=500)
+        pipe, path = piped(json.dumps(dataclasses.asdict(config)).encode(), "c.json")
+        assert sim.load_config(pipe) == sim.load_config(path) == config
+
+    def test_piped_manifest(self, piped):
+        entries = [{"label": "a", "path": "a.csv", "from": "2000-01-01"},
+                   {"label": "b", "path": "b.csv", "price_column": "Close"}]
+        pipe, path = piped(codecs.BOM_UTF8 + json.dumps(entries).encode(), "m.json")
+        assert load_manifest(pipe) == load_manifest(path) == [
+            ("a", "a.csv", {"from_date": "2000-01-01"}), ("b", "b.csv", {"price_column": "Close"})]
+
+    @pytest.mark.parametrize("read", [read_prices_report, load_manifest])
+    def test_non_utf8_pipe_names_the_file_offset(self, piped, read):
+        payload = b"Date,Open\n" + b"2000-01-01,100.0\n" * 3000 + b"\xff\n"
+        messages = []
+        for name in piped(payload, "bad"):
+            with pytest.raises(SchemaError) as info:
+                read(name)
+            messages.append(str(info.value).removeprefix(str(name)))
+        assert messages == [": not UTF-8 text: invalid start byte at byte 51010"] * 2
+
+    @pytest.mark.parametrize("read", [read_prices_report, load_manifest])
+    def test_os_error_without_strerror_is_named(self, tmp_path, monkeypatch, read):
+        def fail(*args, **kwargs):
+            raise OSError("boom")
+
+        path = tmp_path / "any"
+        monkeypatch.setattr(ingest, "open", fail, raising=False)
+        with pytest.raises(UnreadableFile) as info:
+            read(path)
+        assert str(info.value) == f"{path}: boom"
