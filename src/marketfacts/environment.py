@@ -2,19 +2,19 @@
 and accumulate pressure while their position opposes the aggregated excess
 demand; crossing an individual threshold flips the position.
 
-The population is stored as flat numpy arrays so a 10^5-step run over 10^3
-agents stays fast.
+The population is stored as cohorts, so a step costs one float addition per
+cohort, not per agent: every opposed agent gains the same pressure, so
+agents of one sign that share a pressure share their future bit for bit.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoAgents, finite_number, integer
-from .timeseries import _readonly
+from .errors import ConfigError, finite_number, integer
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,10 @@ class HerdingConfig:
     ``ed_noise_std`` perturbs the herding signal only (exogenous order
     flow seen by the agents); the price responds to the population's true
     aggregate position.  Without this perturbation the herding rule
-    freezes in full consensus.
+    freezes in full consensus.  The perturbation is one draw per step with
+    this std whatever the step size, so its effect on the agents depends
+    on ``dt``: over a fixed stretch of model time, a smaller ``dt`` sums
+    more draws.
     """
 
     n_agents: int = 1000
@@ -48,41 +51,21 @@ class HerdingConfig:
 
 
 class HerdingPopulation:
-    """Immutable array-of-agents; updates return a new population.
+    """The agents as cohorts, advanced in place by :func:`herding_step`.
 
-    ``total`` is the sum of the signs, an integer that a float holds
-    exactly; :func:`herding_step` keeps it up to date.
+    ``cohorts[sign]`` lists the cohorts of the agents holding that sign
+    (1 or -1), newest last.  A cohort is ``[pressure, thresholds]``: the
+    pressure its agents share and their thresholds, sorted.  ``total`` is
+    the exact sum of the signs and ``flips`` the number of agents the last
+    step flipped.
     """
 
-    __slots__ = ("sigma", "pressure", "threshold", "total")
+    __slots__ = ("cohorts", "size", "total", "flips")
 
-    def __init__(self, sigma, pressure, threshold):
-        self.sigma = _readonly(sigma)
-        # + 0.0 stores a -0.0 pressure as +0.0, which herding_step's
-        # "+ 0.0 for agents that accrue nothing" keeps bit for bit
-        self.pressure = _readonly(np.add(pressure, 0.0))
-        self.threshold = _readonly(threshold)
-        n = self.sigma.size
-        if n == 0:
-            raise NoAgents("herding population must be non-empty")
-        if self.pressure.size != n or self.threshold.size != n:
-            raise ValueError("sigma, pressure and threshold lengths differ")
-        if not np.all(np.abs(self.sigma) == 1.0):
-            raise ValueError("every sigma must be -1 or +1")
-        if not np.all(self.pressure >= 0.0):
-            raise ValueError("pressures must be >= 0")
-        if not np.all(self.threshold > 0.0):
-            raise ValueError("thresholds must be > 0")
-        # a sum of +-1 values is exact in any order
-        self.total = float(np.add.reduce(self.sigma))
-
-    @classmethod
-    def _of(cls, sigma, pressure, threshold, total) -> "HerdingPopulation":
-        """Wrap valid read-only arrays and their sign sum as they are: no
-        checks, no copies."""
-        pop = cls.__new__(cls)
-        pop.sigma, pop.pressure, pop.threshold, pop.total = sigma, pressure, threshold, total
-        return pop
+    def __init__(self, cohorts: dict):
+        self.cohorts = cohorts
+        up, down = (sum(len(thresholds) for _, thresholds in cohorts[sign]) for sign in (1, -1))
+        self.size, self.total, self.flips = up + down, up - down, 0
 
     @classmethod
     def random(cls, config: HerdingConfig, rng: np.random.Generator) -> "HerdingPopulation":
@@ -94,16 +77,15 @@ class HerdingPopulation:
         n = config.n_agents
         sigma = rng.choice([-1.0, 1.0], size=n)
         threshold = rng.uniform(config.threshold_min, config.threshold_max, size=n)
-        return cls(sigma, np.zeros(n), threshold)
-
-    def __len__(self) -> int:
-        return int(self.sigma.size)
+        sides = {sign: np.sort(threshold[sigma == sign]).tolist() for sign in (1, -1)}
+        return cls({sign: [[0.0, thresholds]] if thresholds else []
+                    for sign, thresholds in sides.items()})
 
 
 def population_excess_demand(pop: HerdingPopulation) -> float:
     """Aggregated excess demand with ed_i = sigma_i: the mean position."""
-    # the carried sign sum is exact, so this is sigma.mean() bit for bit
-    return pop.total / pop.sigma.size
+    # the carried sign sum is exact, so this is the mean of the signs bit for bit
+    return pop.total / pop.size
 
 
 def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulation:
@@ -111,37 +93,44 @@ def herding_step(pop: HerdingPopulation, ed: float, dt: float) -> HerdingPopulat
 
     Agents whose sign opposes ED (strict inequality: ED == 0 or NaN accrues
     nothing) gain dt * |ED| pressure; any pressure at or above its
-    threshold flips the sign and resets to zero.  ``pop`` is left unchanged;
-    the result shares every array the step did not change.
+    threshold flips the sign and resets to zero.  ``pop`` is advanced in
+    place and returned.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    sigma, pressure, total = pop.sigma, pop.pressure, pop.total
+    flipped = []
     if ed > 0.0 or ed < 0.0:
-        opposed = sigma < 0.0 if ed > 0.0 else sigma > 0.0
+        sign = -1 if ed > 0.0 else 1  # the opposed sign
         inc = dt * abs(ed)
-        if inc < math.inf:
-            # True * inc is inc and p + False * inc is p (pressures are >= +0)
-            pressure = opposed * inc + pressure
-        else:  # 0 * inf is NaN
-            pressure = np.where(opposed, pressure + inc, pressure)
-    switch = (pressure >= pop.threshold).nonzero()[0]
-    if switch.size:
-        flipped = sigma[switch]
-        total -= 2.0 * sum(flipped.tolist())  # few agents flip: a list sums them fastest
-        sigma = sigma.copy()
-        sigma[switch] = -flipped
-        if pressure is pop.pressure:
-            pressure = pressure.copy()
-        pressure[switch] = 0.0
-        sigma.setflags(write=False)
-    if pressure is not pop.pressure:
-        pressure.setflags(write=False)
-    return HerdingPopulation._of(sigma, pressure, pop.threshold, total)
+        side, live = pop.cohorts[sign], []
+        for cohort in side:
+            cohort[0] = pressure = inc + cohort[0]
+            thresholds = cohort[1]
+            if thresholds[0] <= pressure:  # pressure >= threshold flips a sorted prefix
+                k = bisect_right(thresholds, pressure)
+                flipped += thresholds[:k]
+                del thresholds[:k]
+                if not thresholds:
+                    continue
+            live.append(cohort)
+        side[:] = live
+    pop.flips = len(flipped)
+    if flipped:
+        pop.total -= 2 * sign * pop.flips
+        # the flipped agents restart at 0.0 beside any of the new sign still
+        # there: agents that share a pressure share their future
+        other = pop.cohorts[-sign]
+        if other and other[-1][0] == 0.0:
+            flipped += other.pop()[1]
+        flipped.sort()
+        other.append([0.0, flipped])
+    return pop
 
 
 def switch_count(before: HerdingPopulation, after: HerdingPopulation) -> int:
-    """Number of agents whose sign differs between two population states."""
-    if before.sigma is after.sigma:
-        return 0
-    return int(np.count_nonzero(before.sigma != after.sigma))
+    """Number of agents the herding step from ``before`` to ``after`` flipped.
+
+    :func:`herding_step` advances a population in place, so ``before`` is
+    ``after``; the count is the one ``after`` carries.
+    """
+    return after.flips

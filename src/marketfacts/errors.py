@@ -37,10 +37,6 @@ class InsufficientPositivePoints(MarketFactsError):
     """Fewer than five strictly positive points available for a log-log fit."""
 
 
-class NoAgents(MarketFactsError):
-    """An aggregation was requested over an empty agent population."""
-
-
 class NumericalBlowup(MarketFactsError):
     """The simulated log price left the representable range.
 

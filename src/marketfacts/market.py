@@ -44,8 +44,10 @@ def price_step(log_price: float, ed: float, dt: float, rule: PriceRule, eta: flo
 
     Linear drift F = gamma * dt * ED, and either constant noise
     G = sigma0 * sqrt(dt) or ED-proportional noise G = delta * sqrt(dt) * |ED|.
-    The sqrt(dt) scaling keeps dt-refinement consistent with a diffusion
-    limit.
+    The sqrt(dt) scaling makes the price noise consistent under refinement
+    of dt (its variance per unit time does not depend on dt).  The herding
+    signal is not: its ED noise is one draw per step (see
+    :class:`~marketfacts.environment.HerdingConfig`).
     """
     if not dt > 0.0:  # also true for NaN
         raise ValueError(f"dt must be > 0, got {dt}")

@@ -1,4 +1,6 @@
+import bisect
 import codecs
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from marketfacts import sim
 from marketfacts.agents import (
     FWParams,
     chartist_demand,
@@ -28,7 +31,8 @@ from marketfacts.environment import (
     switch_count,
 )
 from marketfacts.market import PriceRule, price_step
-from marketfacts.stats import acf_profile, mean_var
+from marketfacts.stats import acf_profile, autocorrelation, excess_kurtosis, mean_var
+from marketfacts.timeseries import absolute_returns
 from marketfacts.sim import (
     CROSS_HERDING,
     FW_TWO_AGENT,
@@ -246,12 +250,9 @@ BAD_API_VALUES = {
                            "fw.log_fundamental: must be a finite number, got nan"),
     "state.dt": (lambda: price_step(0.0, 1.0, NAN, PriceRule(), 0.0), ValueError,
                  "dt must be > 0"),
-    "herding_step.dt": (lambda: herding_step(HerdingPopulation([1.0], [0.0], [1.0]), 1.0, NAN),
+    "herding_step.dt": (lambda: herding_step(HerdingPopulation.random(
+                            HerdingConfig(n_agents=1), np.random.default_rng(0)), 1.0, NAN),
                         ValueError, "dt must be > 0"),
-    "population.pressure": (lambda: HerdingPopulation([1.0], [NAN], [1.0]), ValueError,
-                            "pressures must be >= 0"),
-    "population.threshold": (lambda: HerdingPopulation([1.0], [0.0], [NAN]), ValueError,
-                             "thresholds must be > 0"),
     "herding.threshold_max": (lambda: HerdingConfig(threshold_max=math.inf), ConfigError,
                               "herding.threshold_max: must be a finite number, got inf"),
     "herding.threshold_max_nan": (lambda: HerdingConfig(threshold_max=NAN), ConfigError,
@@ -752,3 +753,127 @@ def test_linear_fw_market_past_its_stability_boundary_blows_up():
     k = e.value.step_index
     assert 0 < k < 2000
     assert re.fullmatch(rf"log price \S+ out of range at step {k} \(seed 2029\)", str(e.value))
+
+
+# With ed_noise_std 0 the cross-herding market is a counting problem.  Only
+# the minority accrues pressure and its agents flip to the majority, so ED
+# never changes sign: every minority agent is opposed on every step, all of
+# them share one pressure, and those that flip are a prefix of the
+# minority's sorted thresholds.  An exact tie (sign sum 0) never moves.
+def _counting_oracle(config):
+    """(log prices, switch count, consensus step) of a cross_herding run
+    with ed_noise_std 0 and proportional price noise.  From the consensus
+    step on, every agent holds the majority's sign; it is None at a tie."""
+    h, dt, rule = config.herding, config.dt, config.price_rule
+    rng = np.random.default_rng(config.seed)
+    sigma = rng.choice([-1.0, 1.0], size=h.n_agents)
+    threshold = rng.uniform(h.threshold_min, h.threshold_max, size=h.n_agents)
+    total = int(sigma.sum())
+    minority = sorted(threshold[sigma * total < 0.0].tolist())
+    pressure, flipped = 0.0, 0
+    consensus = 0 if total and not minority else None
+    log_prices = [config.initial_log_price]
+    for k, eta in enumerate(rng.standard_normal(config.steps).tolist()):
+        ed = total / h.n_agents
+        if minority:
+            pressure = dt * abs(ed) + pressure
+            flips = bisect.bisect_right(minority, pressure) - flipped
+            flipped += flips
+            total += 2 * flips if total > 0 else -2 * flips
+            if flips and flipped == len(minority):
+                consensus = k + 1
+        s = log_prices[-1]
+        log_prices.append(s + rule.gamma * dt * ed + rule.delta * math.sqrt(dt) * abs(ed) * eta)
+    return np.array(log_prices), flipped, consensus
+
+
+def _noiseless_cross(seed, n_agents, band=(1.0, 2.0), **run):
+    price_rule = PriceRule(gamma=run.pop("gamma", 0.5), noise="proportional",
+                           delta=run.pop("delta", 0.03))
+    return RunConfig(model=CROSS_HERDING, seed=seed, price_rule=price_rule,
+                     herding=HerdingConfig(n_agents, *band, ed_noise_std=0.0), **run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_agents=st.one_of(st.integers(1, 50), st.sampled_from([2, 10, 1000, 10_000]),
+                       st.integers(1, 10_000)),
+    band=st.one_of(st.just((1.0, 1.0)),  # every threshold ties
+                   st.tuples(st.floats(1e-3, 2.0), st.sampled_from([0.0, 0.1, 1.0])).map(
+                       lambda b: (b[0], b[0] + b[1]))),
+    dt=st.floats(1e-4, 1.0),
+    gamma=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 0.5),
+    initial_log_price=st.floats(-10.0, 10.0),
+    steps=st.integers(1, 300),  # with gamma <= 1 and dt <= 1, far from LOG_PRICE_LIMIT
+)
+def test_noiseless_herding_market_is_a_counting_problem(seed, n_agents, band, dt, gamma, delta,
+                                                        initial_log_price, steps):
+    config = _noiseless_cross(seed, n_agents, band, dt=dt, gamma=gamma, delta=delta,
+                              initial_log_price=initial_log_price, steps=steps)
+    log_prices, switches, _ = _counting_oracle(config)
+    out = run_simulation(config)
+    assert out.log_prices.tobytes() == log_prices.tobytes()
+    assert out.diagnostics["switch_count"] == switches
+
+
+def test_noiseless_tie_never_moves():
+    # seed 2 draws 500 signs of each kind for 1000 agents
+    config = _noiseless_cross(2, 1000, steps=2000, dt=0.02)
+    out = run_simulation(config)
+    assert np.all(out.log_prices == 0.0) and np.all(out.returns == 0.0)
+    assert out.diagnostics["switch_count"] == 0
+    assert out.log_prices.tobytes() == _counting_oracle(config)[0].tobytes()
+
+
+def test_noiseless_herd_freezes_in_consensus():
+    gamma, delta, dt, steps = 0.5, 0.03, 0.02, 20_000
+    config = _noiseless_cross(2031, 1000, steps=steps, dt=dt, gamma=gamma, delta=delta)
+    _, switches, consensus = _counting_oracle(config)
+    out = run_simulation(config)
+    sigma = np.random.default_rng(config.seed).choice([-1.0, 1.0], size=1000)
+    sign = np.sign(sigma.sum())
+    # every agent of the first minority flipped once, then nobody did
+    assert consensus is not None and consensus < steps // 2
+    assert out.diagnostics["switch_count"] == switches == np.count_nonzero(sigma != sign)
+    # from then on ED is the majority's sign: returns N(gamma dt sign, delta^2 dt)
+    returns = np.diff(out.log_prices[consensus:])
+    mean, var = mean_var(returns)
+    sd, m = delta * math.sqrt(dt), returns.size
+    assert abs(mean - gamma * dt * sign) <= 5.0 * sd / math.sqrt(m)
+    assert abs(var / sd**2 - 1.0) <= 5.0 * math.sqrt(2.0 / m)
+
+
+def test_cross_herding_calls_the_building_blocks_every_step(monkeypatch):
+    """One ``herding_step`` and one ``price_step`` call a step, looked up in
+    ``sim``, as the benchmark's per-layer trace counts them."""
+    calls = collections.Counter()
+    for name in ("herding_step", "population_excess_demand", "switch_count", "price_step"):
+        def counted(*args, _name=name, _fn=getattr(sim, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(sim, name, counted)
+    config = replace(cross_herding_defaults(seed=5, steps=300), herding=HerdingConfig(n_agents=50))
+    run_simulation(config)
+    assert calls["herding_step"] == calls["price_step"] == 300
+    assert calls["population_excess_demand"] >= 1 and calls["switch_count"] >= 1
+
+
+# Criterion 5's two facts over R replications of 40k steps, at a small and a
+# large population.  Seeds 31-34 (R = 4) were fixed before any run.
+@pytest.mark.parametrize("n_agents", [100, 100_000])
+def test_facts_hold_at_small_and_large_n(n_agents):
+    reps = 4
+    config = replace(cross_herding_defaults(seed=31, steps=40_000),
+                     herding=HerdingConfig(n_agents=n_agents))
+    kurts, clustered = [], 0
+    for out in run_ensemble(config, reps):
+        kurts.append(excess_kurtosis(out.returns))
+        band = 1.0 / math.sqrt(len(out.returns))
+        clustered += autocorrelation(absolute_returns(out.returns), 10) > 3.0 * band
+    kurts = np.array(kurts)
+    t_stat = kurts.mean() / (kurts.std(ddof=1) / math.sqrt(reps))
+    assert kurts.mean() > 0 and t_stat > 3.0
+    assert clustered >= 0.75 * reps
