@@ -8,7 +8,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, finite_number
+from .errors import finite_number
 
 PerStep = Union[float, Sequence[float]]
 
@@ -34,17 +34,13 @@ class FWParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        noise_std = finite_number(self.noise_std, "fw.noise_std")
-        if noise_std < 0.0:
-            raise ConfigError(f"must be >= 0, got {noise_std}", field="fw.noise_std")
+        noise_std = finite_number(self.noise_std, "fw.noise_std", low=0.0)
         object.__setattr__(self, "noise_std", noise_std)
-        for name in ("a", "b", "log_fundamental"):
+        for name, low in (("a", 0.0), ("b", 0.0), ("log_fundamental", None)):
             value, field = getattr(self, name), f"fw.{name}"
             value = value.tolist() if isinstance(value, np.ndarray) else value
             schedule = isinstance(value, (list, tuple))
-            values = tuple(finite_number(v, field) for v in (value if schedule else [value]))
-            if name != "log_fundamental" and min(values, default=0.0) < 0.0:
-                raise ConfigError("every value must be >= 0", field=field)
+            values = tuple(finite_number(v, field, low) for v in (value if schedule else [value]))
             object.__setattr__(self, name, values if schedule else values[0])
 
     def weights_at(self, step: int) -> tuple[float, float]:

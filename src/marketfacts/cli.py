@@ -210,16 +210,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config = _load_config(args)
-    # every check before the first run, so a bad argument writes no file
-    sim.check_ensemble(config, args.replications, args.workers)
+    # the lag is checked here and run_ensemble checks its own arguments, both
+    # before the first run, so a bad argument writes no file
     stats.check_lag(max(args.lags), config.steps - config.burn_in)
     outputs = sim.run_ensemble(config, args.replications, workers=args.workers)
     # every report before the first file, so a failing statistic writes none
     per_rep = {kind: [] for kind in KINDS}
-    for output in outputs:
+    for r, output in enumerate(outputs):
         raw = output.returns
-        for kind, returns in zip(KINDS, (raw, timeseries.absolute_returns(raw))):
-            per_rep[kind].append(stats.full_report(returns, lags=args.lags))
+        try:
+            for kind, returns in zip(KINDS, (raw, timeseries.absolute_returns(raw))):
+                per_rep[kind].append(stats.full_report(returns, lags=args.lags))
+        except MarketFactsError as exc:
+            exc.args = (f"{exc} (replication {r}, seed {output.seed})",)
+            raise
     for r, output in enumerate(outputs):
         sim.write_sim_output(output, args.out_dir, f"rep{r:03d}")
 

@@ -36,18 +36,15 @@ class HerdingConfig:
     ed_noise_std: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_agents", integer(self.n_agents, "herding.n_agents"))
-        for name in ("threshold_min", "threshold_max", "ed_noise_std"):
-            object.__setattr__(self, name, finite_number(getattr(self, name), f"herding.{name}"))
-        if self.n_agents < 1:
-            raise ConfigError("must be >= 1", field="herding.n_agents")
+        object.__setattr__(self, "n_agents", integer(self.n_agents, "herding.n_agents", low=1))
+        for name, low in (("threshold_min", None), ("threshold_max", None), ("ed_noise_std", 0.0)):
+            value = finite_number(getattr(self, name), f"herding.{name}", low)
+            object.__setattr__(self, name, value)
         if not 0.0 < self.threshold_min <= self.threshold_max:
             raise ConfigError(
                 f"invalid band [{self.threshold_min}, {self.threshold_max}]",
                 field="herding.threshold_min",
             )
-        if self.ed_noise_std < 0.0:
-            raise ConfigError("must be >= 0", field="herding.ed_noise_std")
 
 
 class HerdingPopulation:

@@ -59,19 +59,26 @@ class ConfigError(MarketFactsError):
         self.field = field
 
 
-def finite_number(value, field: str) -> float:
-    """``value``, a finite real number but not a bool, as a float."""
+def _at_least(value, low, field: str):
+    """``value``, or a ConfigError naming ``field`` if it is below ``low`` (None: no bound)."""
+    if low is not None and value < low:
+        raise ConfigError(f"must be >= {low:g}, got {value!r}", field=field)
+    return value
+
+
+def finite_number(value, field: str, low: float | None = None) -> float:
+    """``value``, a finite real number but not a bool and at least ``low``, as a float."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond the float range
             if math.isfinite(number := float(value)):
-                return number
+                return _at_least(number, low, field)
     raise ConfigError(f"must be a finite number, got {value!r}", field=field)
 
 
-def integer(value, field: str) -> int:
-    """``value``, an integer but not a bool, as an int."""
+def integer(value, field: str, low: int | None = None) -> int:
+    """``value``, an integer but not a bool and at least ``low``, as an int."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+        return _at_least(int(value), low, field)
     raise ConfigError(f"must be of type int, got {value!r}", field=field)
 
 

@@ -30,9 +30,7 @@ class PriceRule:
 
     def __post_init__(self):
         for name in ("gamma", "sigma0", "delta"):
-            value = finite_number(getattr(self, name), f"price_rule.{name}")
-            if value < 0.0:
-                raise ConfigError(f"must be >= 0, got {value}", field=f"price_rule.{name}")
+            value = finite_number(getattr(self, name), f"price_rule.{name}", low=0.0)
             object.__setattr__(self, name, value)
         if self.noise not in (CONSTANT, PROPORTIONAL):
             raise ConfigError(f"unknown noise spec {self.noise!r}", field="price_rule.noise")

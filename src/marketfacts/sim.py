@@ -76,13 +76,12 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in (FW_TWO_AGENT, CROSS_HERDING):
             raise ConfigError(f"unknown model {self.model!r}", field="model")
-        for name, check in (("steps", integer), ("dt", finite_number), ("seed", integer),
-                            ("initial_log_price", finite_number)):
-            object.__setattr__(self, name, check(getattr(self, name), name))
+        for name, check, low in (("steps", integer, 1), ("dt", finite_number, None),
+                                 ("seed", integer, None),
+                                 ("initial_log_price", finite_number, None)):
+            object.__setattr__(self, name, check(getattr(self, name), name, low))
         burn_in = self.steps // 10 if self.burn_in is None else self.burn_in
-        object.__setattr__(self, "burn_in", integer(burn_in, "burn_in"))
-        if self.steps < 1:
-            raise ConfigError("must be >= 1", field="steps")
+        object.__setattr__(self, "burn_in", integer(burn_in, "burn_in", low=0))
         if self.dt <= 0.0:
             raise ConfigError("must be > 0", field="dt")
         if not 0 <= self.seed < 2**64:
@@ -90,8 +89,6 @@ class RunConfig:
         if abs(self.initial_log_price) > LOG_PRICE_LIMIT:
             raise ConfigError(f"must be in [{-LOG_PRICE_LIMIT}, {LOG_PRICE_LIMIT}], "
                               f"got {self.initial_log_price}", field="initial_log_price")
-        if self.burn_in < 0:
-            raise ConfigError("must be >= 0", field="burn_in")
         if self.steps <= self.burn_in:
             raise ConfigError(
                 f"steps ({self.steps}) must exceed burn_in ({self.burn_in})",
@@ -243,26 +240,19 @@ def run_simulation(config: RunConfig) -> SimOutput:
     )
 
 
-def check_ensemble(config: RunConfig, replications: int, workers: int) -> None:
-    """Raise :class:`ConfigError` for an ensemble that cannot start."""
-    replications, workers = integer(replications, "replications"), integer(workers, "workers")
-    if replications < 1:
-        raise ConfigError("must be >= 1", field="replications")
-    last_seed = config.seed + replications - 1
-    if last_seed >= 2**64:
-        raise ConfigError(f"replication {replications - 1} would run with seed {last_seed}, "
-                          "which is not a 64-bit unsigned integer", field="seed")
-    if workers < 1:
-        raise ConfigError("must be >= 1", field="workers")
-
-
 def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list[SimOutput]:
     """Independent replications with seeds base_seed + r, r = 0..R-1.
 
     Results come back in replication order regardless of completion order,
-    so parallel and sequential execution are interchangeable.
+    so parallel and sequential execution are interchangeable.  The
+    arguments are checked before the first replication runs.
     """
-    check_ensemble(config, replications, workers)
+    replications = integer(replications, "replications", low=1)
+    workers = integer(workers, "workers", low=1)
+    last_seed = config.seed + replications - 1
+    if last_seed >= 2**64:
+        raise ConfigError(f"replication {replications - 1} would run with seed {last_seed}, "
+                          "which is not a 64-bit unsigned integer", field="seed")
     configs = [replace(config, seed=config.seed + r) for r in range(replications)]
     # a worker beyond one per replication or per usable CPU would only start
     # and wait, and the pool starts all of its workers at once
@@ -271,12 +261,13 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     workers = min(workers, replications, cpus)
     if workers == 1:
         return [run_simulation(c) for c in configs]
-    # imported here: the pool machinery (multiprocessing, sockets, logging)
-    # would otherwise load with every command
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: the pool machinery (sockets, subprocesses) would
+    # otherwise load with every command
+    from multiprocessing import Pool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_simulation, configs))
+    # leaving the block terminates the workers, so a failed run stops the others
+    with Pool(workers) as pool:
+        return list(pool.imap(run_simulation, configs))
 
 
 def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:

@@ -76,7 +76,7 @@ class TestFrankeWesterhoffED:
         assert e.value.field == "fw.noise_std"
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ConfigError, match=r"^fw\.b: every value must be >= 0$") as e:
+        with pytest.raises(ConfigError, match=r"^fw\.b: must be >= 0, got -1\.0$") as e:
             FWParams(b=-1.0)
         assert e.value.field == "fw.b"
         # zero weights express single-agent-type markets

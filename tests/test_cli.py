@@ -1,5 +1,4 @@
 import codecs
-import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -8,6 +7,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -800,7 +800,23 @@ class TestEnsemble:
         assert main(["ensemble", "--config", str(cfg), "--replications", "2",
                      "--lags", "10", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "DegenerateSample: zero variance: autocorrelation undefined\n")
+            "DegenerateSample: zero variance: autocorrelation undefined "
+            "(replication 0, seed 11)\n")
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_failing_statistic_names_its_replication(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({  # seed 2 is an exact tie: its price never moves
+            "model": "cross_herding", "steps": 2000, "dt": 0.02, "seed": 1,
+            "price_rule": {"noise": "proportional", "delta": 0.03},
+            "herding": {"n_agents": 1000, "ed_noise_std": 0.0},
+        }))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--replications", "3",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "DegenerateSample: zero variance: autocorrelation undefined "
+            "(replication 1, seed 2)\n")
         assert not out.exists() or not list(out.iterdir())
 
     def test_underflowing_variance_writes_no_file(self, tmp_path, capsys):
@@ -815,7 +831,8 @@ class TestEnsemble:
                      "--lags", "10", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("DegenerateSample: variance ")
-        assert err.endswith(" underflows to 0 at power 1.5: skewness undefined\n")
+        assert err.endswith(" underflows to 0 at power 1.5: skewness undefined "
+                            "(replication 0, seed 11)\n")
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.fixture
@@ -826,8 +843,8 @@ class TestEnsemble:
         class InlinePool:
             """Records its size and runs the jobs in this process."""
 
-            def __init__(self, max_workers):
-                opened.append(max_workers)
+            def __init__(self, processes):
+                opened.append(processes)
 
             def __enter__(self):
                 return self
@@ -835,10 +852,10 @@ class TestEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def imap(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         return opened
 
     def test_pool_capped_at_replications(self, tmp_path, monkeypatch, opened):

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to completion against the source tree.
-
-Demo 05 takes several seconds and exercises the same run_ensemble path as
-acceptance criterion 6, so it stays out.
-"""
+"""Smoke test: the demos run to completion against the source tree."""
 
 import os
 import subprocess
@@ -19,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "02_two_agent_market.py",
     "03_herding_stylized_facts.py",
     "04_csv_ingestion.py",
+    "05_seeded_ensembles.py",
 ])
 def test_demo_runs(demo, tmp_path):
     # TMPDIR puts a demo's temporary files in the test's directory, where

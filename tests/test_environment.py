@@ -81,7 +81,7 @@ def check_cohorts(pop):
 
 class TestHerdingPopulation:
     def test_empty_rejected(self):
-        with pytest.raises(ConfigError, match="^herding.n_agents: must be >= 1$"):
+        with pytest.raises(ConfigError, match="^herding.n_agents: must be >= 1, got 0$"):
             HerdingConfig(n_agents=0)
 
     def test_random_initialization(self):

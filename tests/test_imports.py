@@ -122,8 +122,7 @@ def test_only_ingest_and_output_open_files():
     assert calls  # the check still sees the two modules' own calls
 
 
-# what ``concurrent.futures.ProcessPoolExecutor`` loads; only an ensemble
-# with more than one worker needs it
+# what a process pool loads; only an ensemble with more than one worker needs one
 POOL_MODULES = ["concurrent.futures", "multiprocessing", "socket", "subprocess", "logging"]
 
 

@@ -6,7 +6,9 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import re
+import time
 import typing
 from dataclasses import replace
 
@@ -192,16 +194,16 @@ BAD_CONFIGS = [
     (_fw_doc(herding={"ed_noise_std": math.nan}), "herding.ed_noise_std", "finite number"),
     (_fw_doc(fw={"a": [1.0] * 9}), "fw.a", "9 per-step values for 10 steps"),
     (_fw_doc(price_rule=[1]), "price_rule", "must be a JSON object"),
-    (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw.b", "every value must be >= 0$"),
+    (_fw_doc(fw={"b": [1.0, -0.5] + [1.0] * 8}), "fw.b", "must be >= 0, got -0.5$"),
     ({"model": "custom", "steps": 10}, "model", "unknown model 'custom'"),
     (_fw_doc(price_rule={"delta": -1.0}), "price_rule.delta", "must be >= 0, got -1.0$"),
     (_fw_doc(herding={"threshold_min": 3}), "herding.threshold_min",
      r"invalid band \[3\.0, 2\.0\]$"),
-    (_fw_doc(burn_in=-1), "burn_in", "must be >= 0$"),
+    (_fw_doc(burn_in=-1), "burn_in", "must be >= 0, got -1$"),
     (_fw_doc(initial_log_price=800.0), "initial_log_price",
      r"must be in \[-700\.0, 700\.0\], got 800\.0$"),
     (_fw_doc(fw={"noise_std": -1}), "fw.noise_std", "must be >= 0, got -1.0$"),
-    (_fw_doc(fw={"a": -1}), "fw.a", "every value must be >= 0$"),
+    (_fw_doc(fw={"a": -1}), "fw.a", "must be >= 0, got -1.0$"),
     (_fw_doc(price_rule={"gamma": -1}), "price_rule.gamma", "must be >= 0, got -1.0$"),
     (_fw_doc(price_rule={"sigma0": -1}), "price_rule.sigma0", "must be >= 0, got -1.0$"),
     (_fw_doc(price_rule={"noise": "garch"}), "price_rule.noise", "unknown noise spec 'garch'$"),
@@ -241,11 +243,11 @@ BAD_API_VALUES = {
     "fw.noise_std": (lambda: FWParams(noise_std=NAN), ConfigError,
                      "fw.noise_std: must be a finite number, got nan"),
     "fw.a_nan": (lambda: FWParams(a=NAN), ConfigError, "fw.a: must be a finite number, got nan"),
-    "fw.a_negative": (lambda: FWParams(a=-1.0), ConfigError, "fw.a: every value must be >= 0"),
+    "fw.a_negative": (lambda: FWParams(a=-1.0), ConfigError, "fw.a: must be >= 0, got -1.0"),
     "fw.b_inf": (lambda: FWParams(b=math.inf), ConfigError,
                  "fw.b: must be a finite number, got inf"),
     "fw.b_schedule": (lambda: FWParams(b=[1.0, -0.5]), ConfigError,
-                      "fw.b: every value must be >= 0"),
+                      "fw.b: must be >= 0, got -0.5"),
     "fw.log_fundamental": (lambda: FWParams(log_fundamental=[0.0, NAN]), ConfigError,
                            "fw.log_fundamental: must be a finite number, got nan"),
     "state.dt": (lambda: price_step(0.0, 1.0, NAN, PriceRule(), 0.0), ValueError,
@@ -409,6 +411,13 @@ class TestRunSimulation:
         assert str(e.value) == "log price -711.9858567758046 out of range at step 206 (seed 3)"
 
 
+def _fail_base_seed_sleep_rest(config):
+    """Stand-in for run_simulation: the base seed's run fails at once, any other sleeps."""
+    if config.seed == 0:
+        raise NumericalBlowup("log price 800.0 out of range at step 1 (seed 0)")
+    time.sleep(10.0)
+
+
 class TestRunEnsemble:
     def test_single_replication_equals_run(self):
         cfg = fw_config()
@@ -432,14 +441,23 @@ class TestRunEnsemble:
             assert a.log_prices.tobytes() == b.log_prices.tobytes()
             assert a.diagnostics == b.diagnostics
 
+    def test_failed_run_stops_the_pool(self, monkeypatch):
+        # the stand-in reaches the workers through the fork, by its module-level name
+        monkeypatch.setattr(sim, "run_simulation", _fail_base_seed_sleep_rest)
+        start = time.monotonic()
+        with pytest.raises(NumericalBlowup, match=r"at step 1 \(seed 0\)$"):
+            run_ensemble(fw_config(seed=0), 4, workers=2)
+        assert time.monotonic() - start < 5.0
+        assert multiprocessing.active_children() == []
+
     def test_rejects_zero_replications(self):
-        with pytest.raises(ConfigError, match="^replications: must be >= 1$") as e:
+        with pytest.raises(ConfigError, match="^replications: must be >= 1, got 0$") as e:
             run_ensemble(fw_config(), 0)
         assert e.value.field == "replications"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ConfigError, match="^workers: must be >= 1$") as e:
+        with pytest.raises(ConfigError, match=f"^workers: must be >= 1, got {workers}$") as e:
             run_ensemble(fw_config(), 2, workers=workers)
         assert e.value.field == "workers"
 
@@ -462,7 +480,8 @@ class TestRunEnsemble:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dataclasses.asdict(fw_config(steps=50))))
         assert main(["ensemble", "--config", str(path), "--seed", str(top),
-                     "--replications", "2", "--out-dir", str(tmp_path / "out")]) == 1
+                     "--replications", "2", "--lags", "10",
+                     "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"ConfigError: {message}" in err
         assert "Traceback" not in err
