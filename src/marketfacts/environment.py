@@ -37,9 +37,10 @@ class HerdingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_agents", integer(self.n_agents, "herding.n_agents", low=1))
-        for name, low in (("threshold_min", None), ("threshold_max", None), ("ed_noise_std", 0.0)):
-            value = finite_number(getattr(self, name), f"herding.{name}", low)
-            object.__setattr__(self, name, value)
+        for name in ("threshold_min", "threshold_max"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"herding.{name}"))
+        ed_noise_std = finite_number(self.ed_noise_std, "herding.ed_noise_std", low=0.0)
+        object.__setattr__(self, "ed_noise_std", ed_noise_std)
         if not 0.0 < self.threshold_min <= self.threshold_max:
             raise ConfigError(
                 f"invalid band [{self.threshold_min}, {self.threshold_max}]",

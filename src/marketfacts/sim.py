@@ -46,7 +46,7 @@ from .environment import (
     population_excess_demand,
     switch_count,
 )
-from .errors import ConfigError, NumericalBlowup, finite_number, integer
+from .errors import ConfigError, MarketFactsError, NumericalBlowup, finite_number, integer
 from .ingest import read_json
 from .market import LOG_PRICE_LIMIT, PriceRule, price_step
 from .output import write_columns, write_json
@@ -76,10 +76,10 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in (FW_TWO_AGENT, CROSS_HERDING):
             raise ConfigError(f"unknown model {self.model!r}", field="model")
-        for name, check, low in (("steps", integer, 1), ("dt", finite_number, None),
-                                 ("seed", integer, None),
-                                 ("initial_log_price", finite_number, None)):
-            object.__setattr__(self, name, check(getattr(self, name), name, low))
+        object.__setattr__(self, "steps", integer(self.steps, "steps", low=1))
+        for name, check in (("dt", finite_number), ("seed", integer),
+                            ("initial_log_price", finite_number)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         burn_in = self.steps // 10 if self.burn_in is None else self.burn_in
         object.__setattr__(self, "burn_in", integer(burn_in, "burn_in", low=0))
         if self.dt <= 0.0:
@@ -261,13 +261,22 @@ def run_ensemble(config: RunConfig, replications: int, workers: int = 1) -> list
     workers = min(workers, replications, cpus)
     if workers == 1:
         return [run_simulation(c) for c in configs]
-    # imported here: the pool machinery (sockets, subprocesses) would
-    # otherwise load with every command
-    from multiprocessing import Pool
+    # imported here: the pool machinery (multiprocessing, sockets, logging)
+    # would otherwise load with every command
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
-    # leaving the block terminates the workers, so a failed run stops the others
-    with Pool(workers) as pool:
-        return list(pool.imap(run_simulation, configs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_simulation, c) for c in configs]
+        try:  # the pool's exit waits for its workers, so a failure stops them first
+            for future in as_completed(futures):
+                future.result()
+        except BrokenExecutor as exc:  # the pool has stopped the other workers itself
+            raise MarketFactsError("a pool worker ended without a result") from exc
+        except BaseException:
+            for process in pool._processes.values():
+                process.terminate()
+            raise
+        return [future.result() for future in futures]
 
 
 def write_sim_output(output: SimOutput, out_dir, stem: str) -> list[str]:

@@ -1,4 +1,5 @@
 import codecs
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -7,7 +8,6 @@ import datetime as dt
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -843,8 +843,8 @@ class TestEnsemble:
         class InlinePool:
             """Records its size and runs the jobs in this process."""
 
-            def __init__(self, processes):
-                opened.append(processes)
+            def __init__(self, max_workers):
+                opened.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -852,10 +852,12 @@ class TestEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                future = concurrent.futures.Future()
+                future.set_result(fn(job))
+                return future
 
-        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return opened
 
     def test_pool_capped_at_replications(self, tmp_path, monkeypatch, opened):

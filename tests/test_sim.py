@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import re
 import time
 import typing
@@ -25,7 +26,13 @@ from marketfacts.agents import (
     fundamentalist_demand,
 )
 from marketfacts.cli import main
-from marketfacts.errors import ConfigError, NumericalBlowup, SchemaError, UnreadableFile
+from marketfacts.errors import (
+    ConfigError,
+    MarketFactsError,
+    NumericalBlowup,
+    SchemaError,
+    UnreadableFile,
+)
 from marketfacts.environment import (
     HerdingPopulation,
     herding_step,
@@ -411,10 +418,18 @@ class TestRunSimulation:
         assert str(e.value) == "log price -711.9858567758046 out of range at step 206 (seed 3)"
 
 
-def _fail_base_seed_sleep_rest(config):
-    """Stand-in for run_simulation: the base seed's run fails at once, any other sleeps."""
-    if config.seed == 0:
-        raise NumericalBlowup("log price 800.0 out of range at step 1 (seed 0)")
+def _fail_seed_1_sleep_rest(config):
+    """Stand-in for run_simulation: seed 1's run fails at once, any other sleeps."""
+    if config.seed == 1:
+        raise NumericalBlowup("log price 800.0 out of range at step 1 (seed 1)")
+    time.sleep(10.0)
+
+
+def _die_on_seed_1_sleep_rest(config):
+    """Stand-in for run_simulation: seed 1's worker process ends without a
+    result, as one killed for memory does; any other run sleeps."""
+    if config.seed == 1:
+        os._exit(1)
     time.sleep(10.0)
 
 
@@ -441,11 +456,21 @@ class TestRunEnsemble:
             assert a.log_prices.tobytes() == b.log_prices.tobytes()
             assert a.diagnostics == b.diagnostics
 
-    def test_failed_run_stops_the_pool(self, monkeypatch):
+    # base seed 1: replication 0 fails; base seed 0: replication 1 fails while 0 runs
+    @pytest.mark.parametrize("base_seed", [1, 0], ids=["first", "second"])
+    def test_failed_run_stops_the_pool(self, monkeypatch, base_seed):
         # the stand-in reaches the workers through the fork, by its module-level name
-        monkeypatch.setattr(sim, "run_simulation", _fail_base_seed_sleep_rest)
+        monkeypatch.setattr(sim, "run_simulation", _fail_seed_1_sleep_rest)
         start = time.monotonic()
-        with pytest.raises(NumericalBlowup, match=r"at step 1 \(seed 0\)$"):
+        with pytest.raises(NumericalBlowup, match=r"at step 1 \(seed 1\)$"):
+            run_ensemble(fw_config(seed=base_seed), 4, workers=2)
+        assert time.monotonic() - start < 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_ends_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_simulation", _die_on_seed_1_sleep_rest)
+        start = time.monotonic()
+        with pytest.raises(MarketFactsError, match="^a pool worker ended without a result$"):
             run_ensemble(fw_config(seed=0), 4, workers=2)
         assert time.monotonic() - start < 5.0
         assert multiprocessing.active_children() == []
