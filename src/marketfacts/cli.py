@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -85,14 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="one seeded simulation run")
     simulate.add_argument("--config", required=True, metavar="JSON")
-    simulate.add_argument("--seed", type=int, help="override the config seed")
     simulate.add_argument("--out-dir", required=True)
     simulate.set_defaults(run=cmd_simulate)
 
     ensemble = sub.add_parser("ensemble", help="replicated runs + summary stats")
     ensemble.add_argument("--config", required=True, metavar="JSON")
     ensemble.add_argument("--replications", type=_positive_int, required=True)
-    ensemble.add_argument("--seed", type=int, help="override the config seed")
     ensemble.add_argument("--workers", type=_positive_int, default=1)
     ensemble.add_argument("--lags", type=_parse_lags, default=stats.DEFAULT_LAGS)
     ensemble.add_argument("--out-dir", required=True)
@@ -102,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = figures.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="CSV", help="price file to analyze")
     source.add_argument("--config", metavar="JSON", help="or simulate fresh returns")
-    figures.add_argument("--seed", type=int, help="override the config seed (--config only)")
     figures.add_argument("--from", dest="from_date", metavar="YYYY-MM-DD", help="--input only")
     figures.add_argument("--to", dest="to_date", metavar="YYYY-MM-DD", help="--input only")
     figures.add_argument("--price-column", help="--input only; default Open")
@@ -117,15 +113,12 @@ def _usage_error(args) -> str | None:
     """The usage rule beyond the parser's own that ``args`` breaks, or None."""
     if args.subcommand == "analyze" and not args.input and args.manifest is None:
         return "analyze: need --input and/or --manifest"
-    if args.subcommand == "figures":
-        if args.input is not None:
-            source, unused = "--input", {"--seed": args.seed}
-        else:
-            source, unused = "--config", {"--from": args.from_date, "--to": args.to_date,
-                                          "--price-column": args.price_column}
+    if args.subcommand == "figures" and args.config is not None:
+        unused = {"--from": args.from_date, "--to": args.to_date,
+                  "--price-column": args.price_column}
         given = [flag for flag, value in unused.items() if value is not None]
         if given:
-            return f"figures: {', '.join(given)} not used with {source}"
+            return f"figures: {', '.join(given)} not used with --config"
     return None
 
 
@@ -194,22 +187,15 @@ def cmd_analyze(args) -> int:
     return 1
 
 
-def _load_config(args) -> sim.RunConfig:
-    config = sim.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config = sim.load_config(args.config)
     output = sim.run_simulation(config)
     sim.write_sim_output(output, args.out_dir, "sim")
     return 0
 
 
 def cmd_ensemble(args) -> int:
-    config = _load_config(args)
+    config = sim.load_config(args.config)
     # the lag is checked here and run_ensemble checks its own arguments, both
     # before the first run, so a bad argument writes no file
     stats.check_lag(max(args.lags), config.steps - config.burn_in)
@@ -244,7 +230,7 @@ def cmd_figures(args) -> int:
         prices = ingest.read_prices(args.input, column, args.from_date, args.to_date)
         raw = timeseries.log_returns(prices)
     else:
-        config = _load_config(args)
+        config = sim.load_config(args.config)
         # the lag is checked before the run, so a lag too long fails at once
         stats.check_lag(args.max_lag, config.steps - config.burn_in)
         raw = sim.run_simulation(config).returns

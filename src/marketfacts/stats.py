@@ -131,9 +131,11 @@ def check_lag(lag: int, n: int) -> None:
 
 def _check_variance(squares: float, n: int, name: str) -> None:
     """Raise :class:`DegenerateSample` unless ``squares / n``, a sum of ``n``
-    squared deviations (or a variance, with ``n`` = 1), is a normal float."""
+    squared deviations (or a variance, with ``n`` = 1), is a finite normal float."""
     if squares == 0.0:
         raise DegenerateSample(f"zero variance: {name} undefined")
+    if not math.isfinite(squares):
+        raise DegenerateSample(f"variance {squares / n!r} overflows: {name} undefined")
     if squares < sys.float_info.min * n:  # products of subnormal size have lost precision
         raise DegenerateSample(f"variance {squares / n!r} is subnormal: {name} undefined")
 
@@ -141,8 +143,9 @@ def _check_variance(squares: float, n: int, name: str) -> None:
 def _acf(series, lags) -> list[float]:
     """C(l) for each l in ``lags``, each passed by :func:`check_lag`, from one deviation pass."""
     x = np.asarray(series, dtype=float)
-    d = x - x.mean()
-    denom = float(np.dot(d, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        d = x - x.mean()
+        denom = float(np.dot(d, d))
     _check_variance(denom, x.size, "autocorrelation")
     return [float(np.dot(d[lag:], d[:-lag])) / denom for lag in lags]
 
@@ -209,7 +212,8 @@ def histogram_data(sample, bin_count: int = 200):
         raise DegenerateSample(f"range [{lo!r}, {hi!r}] cannot hold {bin_count} finite bins")
     counts, edges = np.histogram(x, bins=bin_count, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    mean, var = mean_var(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        mean, var = mean_var(x)
     _check_variance(var, 1, "Gaussian fit")  # the squares may underflow, though min < max
     density = np.exp(-((centers - mean) ** 2) / (2.0 * var)) / math.sqrt(
         2.0 * math.pi * var
@@ -283,7 +287,8 @@ def qq_data(sample) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
     if n < 2:
         raise InsufficientData(f"need n >= 2 for a qq plot, got {n}")
-    mean, var = mean_var(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        mean, var = mean_var(x)
     _check_variance(var, 1, "qq plot")
     ppf = _norm_ppf((np.arange(1, n + 1) - 0.5) / n)
     return mean + math.sqrt(var) * ppf, np.sort(x)

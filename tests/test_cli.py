@@ -626,14 +626,13 @@ config_mutations = st.sampled_from(list(FUZZ_CONFIGS)).flatmap(lambda model: st.
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(config_mutations,
-       optional_flag("--seed", ["0", "-1", str(2**64 - 1), str(2**64), "x"]),
        optional_flag("--lags", ["1", "5,1", "10,100", "179", "180", "0", "-1", "1.5", "x",
                                 "", "1,1", str(10**20)]),
        optional_flag("--max-lag", ["1", "100", "179", "180", "0", "-1", "x", str(10**20)]),
        optional_flag("--bins", ["1", "40", "5000", "100001", "0", "x"]),
        st.sampled_from(["1", "3"]))
 def test_sim_commands_fuzz_end_in_an_exit_code_and_finite_files(
-        mutations, seed, lags, max_lag, bins, replications):
+        mutations, lags, max_lag, bins, replications):
     model, mutations = mutations
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")
@@ -645,7 +644,7 @@ def test_sim_commands_fuzz_end_in_an_exit_code_and_finite_files(
             ("figures", [*max_lag, *bins]),
         ):
             out = os.path.join(tmp, command)
-            code = run_cli([command, "--config", cfg, *seed, *flags, "--out-dir", out])
+            code = run_cli([command, "--config", cfg, *flags, "--out-dir", out])
             assert code in (0, 1, 2)
             if code == 0:
                 assert_finite_files(out)
@@ -684,6 +683,18 @@ def test_manifest_fuzz_ends_in_an_exit_code_and_finite_files(mutations, from_, t
             assert_finite_files(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "figures"])
+def test_seed_comes_only_from_the_config(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json")
+    required = ["--replications", "1"] if command == "ensemble" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), *required, "--seed", "1",
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_outputs_and_byte_identity(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -692,13 +703,6 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_b)]) == 0
         for name in ("sim_logprices.csv", "sim_returns.csv", "sim_diagnostics.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    def test_seed_override(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(cfg), "--out-dir", str(out_a)])
-        main(["simulate", "--config", str(cfg), "--seed", "99", "--out-dir", str(out_b)])
-        assert (out_a / "sim_returns.csv").read_bytes() != (out_b / "sim_returns.csv").read_bytes()
 
     def test_zero_noise_fixed_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -947,17 +951,15 @@ class TestFigures:
         ("--config", "--from", "2000-01-01"),
         ("--config", "--to", "2000-12-31"),
         ("--config", "--price-column", "Close"),
-        ("--input", "--seed", "3"),
     ])
     def test_flag_the_source_ignores_is_usage_error(self, tmp_path, capsys, source, flag, value):
-        paths = {"--config": write_config(tmp_path / "cfg.json"), "--input": tmp_path / "p.csv"}
-        write_price_csv(paths["--input"], n=200)
+        cfg = write_config(tmp_path / "cfg.json")
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         # a usage error comes before the --out-dir check
         for out in (tmp_path / "out", blocker):
             with pytest.raises(SystemExit) as exc:
-                main(["figures", source, str(paths[source]), flag, value, "--out-dir", str(out)])
+                main(["figures", source, str(cfg), flag, value, "--out-dir", str(out)])
             assert exc.value.code == 2
             assert f"figures: {flag} not used with {source}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,6 +1,8 @@
 """Every Python code block of README.md runs as written, its config
-examples load, and README names every package of the test extra."""
+examples load, README names every package of the test extra, and its CLI
+section names exactly the parser's flags."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from marketfacts.agents import FWParams
+from marketfacts.cli import build_parser
 from marketfacts.sim import config_from_dict, cross_herding_defaults
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +43,14 @@ def test_readme_names_every_test_extra_package():
     sentence = re.search(r"The test extra adds ([^.]*)\.", TEXT)
     assert sentence is not None
     assert [name for name in extra if name not in sentence.group(1)] == []
+
+
+def test_readme_cli_section_names_exactly_the_parsers_flags():
+    section = re.search(r"^## Command-line interface\n(.*?)^## ", TEXT,
+                        flags=re.DOTALL | re.MULTILINE)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.group(1)))
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for parser in subcommands.values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    assert named == flags - {"--help"}

@@ -503,8 +503,8 @@ class TestRunEnsemble:
             run_ensemble(fw_config(seed=top), 2)
         assert e.value.field == "seed"
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dataclasses.asdict(fw_config(steps=50))))
-        assert main(["ensemble", "--config", str(path), "--seed", str(top),
+        path.write_text(json.dumps(dataclasses.asdict(fw_config(seed=top, steps=50))))
+        assert main(["ensemble", "--config", str(path),
                      "--replications", "2", "--lags", "10",
                      "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -890,19 +890,28 @@ def test_noiseless_herd_freezes_in_consensus():
 
 
 def test_cross_herding_calls_the_building_blocks_every_step(monkeypatch):
-    """One ``herding_step`` and one ``price_step`` call a step, looked up in
-    ``sim``, as the benchmark's per-layer trace counts them."""
-    calls = collections.Counter()
-    for name in ("herding_step", "population_excess_demand", "switch_count", "price_step"):
-        def counted(*args, _name=name, _fn=getattr(sim, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    """Each model calls its building blocks where the benchmark's per-layer
+    trace wraps them, as its ``calls()`` and ``reached`` count them: the
+    per-step blocks once a step, and every other block at least once.  The
+    FW case guards the FW loop on hosts where ``tests/test_bench.py`` skips."""
+    herding = replace(cross_herding_defaults(seed=5, steps=300), herding=HerdingConfig(n_agents=50))
+    for config, per_step, blocks in [
+        (herding, ["price_step", "herding_step"],
+         [(sim, "herding_step"), (sim, "population_excess_demand"), (sim, "switch_count")]),
+        (fw_config(steps=300), ["price_step"],
+         [(sim, "franke_westerhoff_ED"), (FWParams, "weights_at"), (FWParams, "fundamental_at")]),
+    ]:
+        calls = collections.Counter()
+        with monkeypatch.context() as patch:
+            for owner, name in [(sim, "price_step"), *blocks]:
+                def counted(*args, _name=name, _fn=getattr(owner, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
 
-        monkeypatch.setattr(sim, name, counted)
-    config = replace(cross_herding_defaults(seed=5, steps=300), herding=HerdingConfig(n_agents=50))
-    run_simulation(config)
-    assert calls["herding_step"] == calls["price_step"] == 300
-    assert calls["population_excess_demand"] >= 1 and calls["switch_count"] >= 1
+                patch.setattr(owner, name, counted)
+            run_simulation(config)
+        assert [calls[name] for name in per_step] == [300] * len(per_step), calls
+        assert all(calls[name] >= 1 for _, name in blocks), calls
 
 
 # Criterion 5's two facts over R replications of 40k steps, at a small and a

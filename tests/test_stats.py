@@ -262,6 +262,10 @@ class TestAutocorrelation:
             with pytest.raises(DegenerateSample, match=r" is subnormal: autocorrelation undefined$"):
                 autocorrelation(r * scale, 1)
         assert autocorrelation(r * 1e-153, 1) == pytest.approx(autocorrelation(r, 1), rel=1e-14)
+        # at the other end the squares overflow, and their sum is inf
+        with pytest.raises(DegenerateSample, match=r"^variance inf overflows: "
+                                                   r"autocorrelation undefined$"):
+            autocorrelation(r * 1e160, 1)
 
     def test_lag_too_large(self):
         with pytest.raises(LagTooLarge):
@@ -432,6 +436,20 @@ def assert_same_moment(new, old):
         assert_same(new, old)
 
 
+def assert_same_acf(new, old, x):
+    """``assert_same``, except where the old formula's sum of squared deviations
+    of ``x`` overflowed and its autocorrelations read 0 or NaN: there the
+    shared kernel raises DegenerateSample naming the overflow."""
+    if old[0] != "raises" and old[2] != (0,):  # (0,): no lag asked for
+        with np.errstate(all="ignore"):
+            d = x - x.mean()
+            if not math.isfinite(float(np.dot(d, d))):
+                assert new == ("raises", DegenerateSample,
+                               "variance inf overflows: autocorrelation undefined")
+                return
+    assert_same(new, old)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 samples = st.one_of(
     st.lists(finite, max_size=40),
@@ -445,14 +463,14 @@ samples = st.one_of(
 def test_shared_kernels_match_the_separate_formulas(x, lags, max_lag):
     x = np.array(x, dtype=float)
     for lag in lags:
-        assert_same(outcome(autocorrelation, x, lag), outcome(old_autocorrelation, x, lag))
+        assert_same_acf(outcome(autocorrelation, x, lag), outcome(old_autocorrelation, x, lag), x)
     assert_same_moment(outcome(skewness, x), outcome(old_skewness, x))
     assert_same_moment(outcome(excess_kurtosis, x), outcome(old_excess_kurtosis, x))
     expected = outcome(old_acf_profile, x, max_lag)
     if max_lag >= 1 and x.size - max_lag < 2:  # too long: the largest lag is named
         expected = ("raises", LagTooLarge,
                     f"lag {max_lag} needs at least {max_lag + 2} points, got {x.size}")
-    assert_same(outcome(acf_profile, x, max_lag), expected)
+    assert_same_acf(outcome(acf_profile, x, max_lag), expected, x)
 
 
 # ------------------------------------------------------------- tail / fit
@@ -523,6 +541,8 @@ class TestFitPowerDecay:
 
 # a normal sample scaled so that its variance, about 1e-320, is subnormal
 SUBNORMAL_VARIANCE_SAMPLE = np.random.default_rng(28).standard_normal(200) * 1e-160
+# its squared deviations overflow, so its variance is inf
+OVERFLOWING_VARIANCE_SAMPLE = np.random.default_rng(0).standard_normal(1000) * 1e160
 
 
 class TestHistogramData:
@@ -556,6 +576,10 @@ class TestHistogramData:
             assert mean_var(x)[1] < sys.float_info.min
             with pytest.raises(DegenerateSample, match=message):
                 histogram_data(x, 2)
+        # and squared deviations that overflow give an infinite variance
+        with pytest.raises(DegenerateSample,
+                           match=r"^variance inf overflows: Gaussian fit undefined$"):
+            histogram_data(OVERFLOWING_VARIANCE_SAMPLE, 20)
 
     def test_gaussian_fit_matches_empirical_frequencies(self):
         x = np.random.default_rng(19).standard_normal(1_000_000)
@@ -592,6 +616,7 @@ class TestQqData:
         for x, message in [
             (np.ones(10), r"^zero variance: qq plot undefined$"),
             (SUBNORMAL_VARIANCE_SAMPLE, r"^variance .* is subnormal: qq plot undefined$"),
+            (OVERFLOWING_VARIANCE_SAMPLE, r"^variance inf overflows: qq plot undefined$"),
         ]:
             with pytest.raises(DegenerateSample, match=message):
                 qq_data(x)
